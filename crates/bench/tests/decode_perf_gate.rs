@@ -1,16 +1,19 @@
-//! Release-mode perf gate for the batched decode backend: at micro-batch
+//! Release-mode perf gate for the serving (batched) decode: at micro-batch
 //! sizes the serving layer actually forms (≥ 16 trajectories per car), the
-//! lock-step FMA backend must beat the per-row infer reference — otherwise
-//! the tolerance contract it trades away buys nothing and the regression
-//! should fail CI loudly.
+//! lock-step FMA decode must beat the autodiff-tape reference by a wide
+//! margin — otherwise the tolerance contract it trades away buys nothing
+//! and the regression should fail CI loudly.
 //!
 //! CI runs this with `--release` (scripts/ci.sh, gate `decode_perf_gate`).
 //! Debug builds skip the timing assertion: unoptimised relative timings of
 //! the two kernel sets are not meaningful.
 //!
-//! The gate pins ≥ 2× at the paper's operating point (100 trajectories per
-//! car); the criterion `decode_backend` group and the committed
-//! `BENCH_<date>.json` quantify the full margin (~3× measured).
+//! The floors (3.4× at 16 trajectories per car, 5.5× at the paper's 100)
+//! are the earlier floors against the since-deleted per-row decoder
+//! (1.8×, 2.0×) scaled by the tape/per-row time ratio measured just before
+//! it was deleted, with this file's harness (1.86× and 2.71×: medians of
+//! 30 processes on a 2-CPU VM) — the same bar re-based onto the tape. The
+//! criterion `decode_backend` group quantifies the full margin.
 
 use ranknet_core::features::extract_sequences;
 use ranknet_core::instances::TrainingSet;
@@ -21,20 +24,22 @@ use rpf_racesim::{simulate_race, Event, EventConfig};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Best-of-N wall time of one decode closure (minimum shaves scheduler
-/// noise, which only ever inflates a sample).
-fn best_of<F: FnMut()>(n: usize, mut f: F) -> f64 {
-    (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos() as f64
-        })
-        .fold(f64::INFINITY, f64::min)
+/// Best-of-N wall times of two decode closures, run alternately so both
+/// sample the same machine state (the minimum shaves scheduler noise,
+/// which only ever inflates a sample).
+fn best_of_pair(n: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let time = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_nanos() as f64
+    };
+    (0..n).fold((f64::INFINITY, f64::INFINITY), |(ta, tb), _| {
+        (ta.min(time(&mut a)), tb.min(time(&mut b)))
+    })
 }
 
 #[test]
-fn batched_beats_per_row_at_serving_batch_sizes() {
+fn batched_beats_tape_at_serving_batch_sizes() {
     if cfg!(debug_assertions) {
         eprintln!("decode_perf_gate: skipped (debug build; CI runs it with --release)");
         return;
@@ -58,33 +63,37 @@ fn batched_beats_per_row_at_serving_batch_sizes() {
     let enc = model.encode(&ctx, origin);
     let streams = RngStreams::new(0x6A7E);
 
-    // (trajectories per car, required speedup). Measured ~3x at both sizes
-    // (fused tile step + compacted first step); the floors leave ~30%
-    // headroom for machine noise while still failing loudly if either the
-    // kernels or the step-0 compaction regress.
-    for (n_samples, floor) in [(16usize, 1.8f64), (100, 2.0)] {
+    // (trajectories per car, required speedup). In the 30 processes the
+    // floors come from, the batched decode beat the tape by 4.7–11.9x
+    // (median 6.4x) at 16 and 6.2–13.5x (median 7.9x) at 100.
+    for (n_samples, floor) in [(16usize, 3.4f64), (100, 5.5)] {
         // Warm both paths once (first call pays lazy allocations).
-        black_box(model.decode(&ctx, &cov, origin, horizon, n_samples, &enc, &streams, 1));
+        black_box(model.decode_tape(&ctx, &cov, origin, horizon, n_samples, &enc, &streams, 1));
         black_box(model.decode_batched(&ctx, &cov, origin, horizon, n_samples, &enc, &streams, 1));
 
-        let per_row = best_of(5, || {
-            black_box(model.decode(&ctx, &cov, origin, horizon, n_samples, &enc, &streams, 1));
-        });
-        let batched = best_of(5, || {
-            black_box(
-                model.decode_batched(&ctx, &cov, origin, horizon, n_samples, &enc, &streams, 1),
-            );
-        });
-        let speedup = per_row / batched;
+        let (tape, batched) = best_of_pair(
+            9,
+            || {
+                black_box(
+                    model.decode_tape(&ctx, &cov, origin, horizon, n_samples, &enc, &streams, 1),
+                );
+            },
+            || {
+                black_box(
+                    model.decode_batched(&ctx, &cov, origin, horizon, n_samples, &enc, &streams, 1),
+                );
+            },
+        );
+        let speedup = tape / batched;
         eprintln!(
-            "decode_perf_gate: n_samples={n_samples} per_row={:.2}ms batched={:.2}ms \
+            "decode_perf_gate: n_samples={n_samples} tape={:.2}ms batched={:.2}ms \
              speedup={speedup:.2}x (floor {floor}x)",
-            per_row / 1e6,
+            tape / 1e6,
             batched / 1e6,
         );
         assert!(
             speedup > floor,
-            "batched decode ({batched:.0} ns) must beat per-row ({per_row:.0} ns) \
+            "batched decode ({batched:.0} ns) must beat the tape ({tape:.0} ns) \
              by more than {floor}x at {n_samples} trajectories/car, got {speedup:.2}x"
         );
     }

@@ -62,31 +62,9 @@ pub struct RankNetConfig {
 /// season-long soak stays bounded.
 pub const DEFAULT_ENCODER_CACHE_CAPACITY: usize = 1024;
 
-/// Which decoder implementation [`crate::engine::ForecastEngine`] (and
-/// [`crate::ranknet::RankNet::forecast_seeded`]) rolls Algorithm 2 on.
-///
-/// `Tape` and `PerRow` are the bitwise-contracted reference pair: they are
-/// bit-identical to each other for any thread count. `Batched` is the
-/// serving default — all trajectories advance lock-step through FMA GEMMs
-/// and fast-activation kernels. It is bit-deterministic for a fixed batch
-/// layout and invariant to thread count and request folding (every kernel
-/// is row-independent), but only tolerance-equal to the reference pair;
-/// the `decode_parity` suite pins the bound. See `DESIGN.md` §13.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DecodeBackend {
-    /// Autodiff-tape decode — the training graph stepped forward.
-    Tape,
-    /// Tape-free per-row infer runtime under the bitwise tape contract.
-    PerRow,
-    /// Lock-step batched FMA decode (tolerance-pinned contract).
-    #[default]
-    Batched,
-}
-
 /// Runtime tuning for [`crate::engine::ForecastEngine`] — deliberately
 /// separate from [`RankNetConfig`] (model hyper-parameters): these knobs
-/// change scheduling and memory footprint; only `decode_backend` can move
-/// a sampled value, and then only within the pinned decode tolerance.
+/// change scheduling and memory footprint, never a sampled value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// Base seed of the engine's counter-derived RNG streams.
@@ -97,9 +75,6 @@ pub struct EngineConfig {
     /// eviction; 0 disables caching entirely. Bounds resident encoder
     /// states on long multi-race soaks.
     pub encoder_cache_capacity: usize,
-    /// Decoder implementation; [`DecodeBackend::Batched`] unless a
-    /// bitwise-reproducible reference decode is required.
-    pub decode_backend: DecodeBackend,
 }
 
 impl Default for EngineConfig {
@@ -108,7 +83,6 @@ impl Default for EngineConfig {
             seed: 0,
             threads: None,
             encoder_cache_capacity: DEFAULT_ENCODER_CACHE_CAPACITY,
-            decode_backend: DecodeBackend::Batched,
         }
     }
 }

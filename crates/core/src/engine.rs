@@ -21,7 +21,7 @@
 //!   injected fault) are replaced with the CurRank baseline and flagged,
 //!   so a serving engine returns a usable answer instead of panicking.
 
-use crate::config::{DecodeBackend, EngineConfig};
+use crate::config::EngineConfig;
 use crate::features::RaceContext;
 use crate::lifecycle::{ModelSlot, VersionedModel};
 use crate::rank_model::{CovariateFuture, EncoderState, ForecastSamples};
@@ -138,6 +138,32 @@ impl PhaseTimings {
 /// by hash, so concurrent forecasts of different `(race, origin)` pairs
 /// rarely contend on one lock.
 const CACHE_SHARDS: usize = 8;
+
+/// Most trajectory rows one lock-step decode advances. A serving
+/// micro-batch — a few distinct 100-sample questions over a 33-car field —
+/// decodes in one fold; a long `forecast_batch` sweep decodes a few
+/// requests at a time, so each step's state stays cache-sized and peak
+/// memory is one fold's, not the sweep's. Folding never changes a
+/// response (batched rows are independent), only time and memory.
+const MAX_FOLD_ROWS: usize = 8192;
+
+/// Split `jobs` into consecutive folds of at most [`MAX_FOLD_ROWS`] rows;
+/// a job larger than that decodes alone.
+fn fold_ranges(jobs: &[DecodeJob<'_>]) -> Vec<std::ops::Range<usize>> {
+    let mut folds = Vec::new();
+    let (mut start, mut rows) = (0, 0);
+    for (i, job) in jobs.iter().enumerate() {
+        if i > start && rows + job.rows() > MAX_FOLD_ROWS {
+            folds.push(start..i);
+            (start, rows) = (i, 0);
+        }
+        rows += job.rows();
+    }
+    if start < jobs.len() {
+        folds.push(start..jobs.len());
+    }
+    folds
+}
 
 /// Encoder-cache key: `(model version, race, origin)`. The version
 /// component makes a hot-swap safe without a cache flush — an encoder
@@ -272,7 +298,6 @@ pub struct ForecastEngine {
     slot: Arc<ModelSlot>,
     seed: u64,
     threads: usize,
-    backend: DecodeBackend,
     cache: EncoderCache,
     registry: Registry,
     tracer: Tracer,
@@ -323,7 +348,6 @@ impl ForecastEngine {
             slot,
             seed,
             threads: rpf_tensor::par::num_threads(),
-            backend: DecodeBackend::default(),
             cache: EncoderCache::new(crate::config::DEFAULT_ENCODER_CACHE_CAPACITY),
             tracer: Tracer::new(),
             span_encode: span_name("engine_encode"),
@@ -352,7 +376,6 @@ impl ForecastEngine {
             engine.threads = t.max(1);
         }
         engine.cache = EncoderCache::new(cfg.encoder_cache_capacity);
-        engine.backend = cfg.decode_backend;
         engine
     }
 
@@ -385,18 +408,6 @@ impl ForecastEngine {
         prev
     }
 
-    /// Override the decode backend (see [`DecodeBackend`]). Switching
-    /// between `Tape`/`PerRow` never changes samples; switching to or from
-    /// `Batched` may move them within the pinned decode tolerance.
-    pub fn with_backend(mut self, backend: DecodeBackend) -> ForecastEngine {
-        self.backend = backend;
-        self
-    }
-
-    pub fn backend(&self) -> DecodeBackend {
-        self.backend
-    }
-
     /// Override the decoder worker count (≥ 1). Changes scheduling only;
     /// the samples are identical for every setting.
     pub fn with_threads(mut self, threads: usize) -> ForecastEngine {
@@ -417,26 +428,29 @@ impl ForecastEngine {
     }
 
     /// Clone this engine's *configuration* into a fresh engine for one
-    /// serving shard: same seed, backend, thread budget and encoder-cache
-    /// capacity — so the fork's forecasts are bit-identical to this
-    /// engine's by the determinism contract — but its own [`ModelSlot`]
-    /// (seeded with the currently installed versioned model), its own
-    /// empty encoder cache and its own obs registry. Shards built this way
-    /// share no locks, no cache lines and no metric cells, and a lifecycle
-    /// controller can roll model versions across them one slot at a time.
+    /// serving shard, over the currently installed versioned model. See
+    /// [`ForecastEngine::fork_with`].
     pub fn fork(&self) -> ForecastEngine {
         let vm = self.slot.load();
-        let slot = ModelSlot::new(VersionedModel::new(vm.version, Arc::clone(&vm.model)));
-        ForecastEngine::with_slot(slot, self.seed)
-            .with_backend(self.backend)
+        self.fork_with(VersionedModel::new(vm.version, Arc::clone(&vm.model)))
+    }
+
+    /// A fresh engine over `model` with this engine's configuration: same
+    /// seed, thread budget and encoder-cache capacity — so it serves
+    /// exactly what this engine would serve with `model` installed — but
+    /// its own [`ModelSlot`], its own empty encoder cache and its own obs
+    /// registry. Serving shards ([`ForecastEngine::fork`]) and lifecycle
+    /// shadow engines are built this way; they share no locks, no cache
+    /// lines and no metric cells with this engine.
+    pub fn fork_with(&self, model: VersionedModel) -> ForecastEngine {
+        ForecastEngine::with_slot(ModelSlot::new(model), self.seed)
             .with_threads(self.threads)
             .with_cache_capacity(self.cache.capacity())
     }
 
     /// The engine seed every call's RNG streams derive from. A shadow
-    /// engine built with the same seed (and backend) over a candidate
-    /// model produces exactly what that candidate would serve after
-    /// promotion.
+    /// engine built with the same seed over a candidate model produces
+    /// exactly what that candidate would serve after promotion.
     pub fn seed(&self) -> u64 {
         self.seed
     }
@@ -491,7 +505,8 @@ impl ForecastEngine {
         }
     }
 
-    /// Validating [`ForecastEngine::forecast_keyed`].
+    /// Validating [`ForecastEngine::forecast_keyed`]: a one-request run of
+    /// the engine's pipeline (see [`ForecastEngine::forecast_batch_entries`]).
     ///
     /// Degradation: any trajectory containing a non-finite value (crashed
     /// decoder worker, numerically broken weights, injected fault) is
@@ -507,66 +522,16 @@ impl ForecastEngine {
         horizon: usize,
         n_samples: usize,
     ) -> Result<EngineForecast, EngineError> {
-        let vm = self.slot.load();
-        self.try_forecast_on(&vm, race, ctx, origin, horizon, n_samples)
-    }
-
-    /// [`ForecastEngine::try_forecast_keyed`] pinned to one loaded model
-    /// version. Batch entry points load the slot once and run every
-    /// request through here, so a swap landing mid-batch can never produce
-    /// a torn batch (some requests old, some new).
-    fn try_forecast_on(
-        &self,
-        vm: &VersionedModel,
-        race: usize,
-        ctx: &RaceContext,
-        origin: usize,
-        horizon: usize,
-        n_samples: usize,
-    ) -> Result<EngineForecast, EngineError> {
-        if let Err(e) = validate_request(ctx, origin, horizon, n_samples) {
-            self.rejected_requests.inc();
-            return Err(e);
-        }
-
-        // Seed derived from the call's identity, not from call order, so
-        // one-at-a-time and batched execution agree.
-        let call_seed = RngStreams::new(self.seed)
-            .child(race as u64)
-            .seed(origin as u64);
-
-        let enc = self.encoder_for(vm, race, ctx, origin);
-        let groups = self.covariates_for(vm, ctx, origin, horizon, n_samples, call_seed);
-
-        let mut samples = {
-            let _span = self.tracer.span(self.span_decode);
-            let t0 = Instant::now();
-            let samples = vm.model.decode_groups(
-                ctx,
-                &enc,
-                &groups,
-                origin,
-                horizon,
-                n_samples,
-                call_seed,
-                self.threads,
-                self.backend,
-            );
-            self.add_ns(&self.decode_ns, t0);
-            samples
+        let request = ForecastRequest {
+            race,
+            origin,
+            horizon,
+            n_samples,
         };
-
-        let degraded_trajectories = degrade_non_finite(ctx, &mut samples, origin, horizon);
-        self.degraded_trajectories.add(degraded_trajectories);
-
-        self.calls.inc();
-        self.trajectories.add((enc.cars.len() * n_samples) as u64);
-        Ok(EngineForecast {
-            samples,
-            degraded: degraded_trajectories > 0,
-            degraded_trajectories,
-            model_version: vm.version,
-        })
+        let vm = self.slot.load();
+        // One request in, one result out.
+        self.run_pipeline(&vm, &[request], false, |_| Ok(ctx))
+            .swap_remove(0)
     }
 
     /// Cache-aware encoder lookup: reuse the `(version, race, origin)`
@@ -634,38 +599,24 @@ impl ForecastEngine {
 
     /// Validating [`ForecastEngine::forecast_batch`]: the whole batch is
     /// validated before any model work runs, so a bad request costs nothing
-    /// and cannot leave a partially-served batch.
+    /// and cannot leave a partially-served batch. Identical requests are
+    /// each run (and counted) rather than coalesced.
     pub fn try_forecast_batch(
         &self,
         contexts: &[&RaceContext],
         requests: &[ForecastRequest],
     ) -> Result<Vec<EngineForecast>, EngineError> {
         for r in requests {
-            if r.race >= contexts.len() {
-                self.rejected_requests.inc();
-                return Err(EngineError::RaceOutOfRange {
-                    race: r.race,
-                    n_contexts: contexts.len(),
-                });
-            }
-            if let Err(e) = validate_request(contexts[r.race], r.origin, r.horizon, r.n_samples) {
+            let checked = context_at(contexts, r.race)
+                .and_then(|ctx| validate_request(ctx, r.origin, r.horizon, r.n_samples));
+            if let Err(e) = checked {
                 self.rejected_requests.inc();
                 return Err(e);
             }
         }
         let vm = self.slot.load();
-        requests
-            .iter()
-            .map(|r| {
-                self.try_forecast_on(
-                    &vm,
-                    r.race,
-                    contexts[r.race],
-                    r.origin,
-                    r.horizon,
-                    r.n_samples,
-                )
-            })
+        self.run_pipeline(&vm, requests, false, |race| context_at(contexts, race))
+            .into_iter()
             .collect()
     }
 
@@ -678,127 +629,99 @@ impl ForecastEngine {
     /// bit-identical to what a fresh [`ForecastEngine::try_forecast_keyed`]
     /// call would have produced.
     ///
-    /// Under the `Batched` backend the distinct requests additionally fold
-    /// into **one** lock-step decode ([`RankNet::decode_jobs_batched`]):
-    /// every batched kernel computes each trajectory row independently and
-    /// each request keeps its own stream families, so the folded results
-    /// stay bit-identical to per-request calls — folding changes wall-clock
-    /// time, never a response.
+    /// The distinct requests fold into lock-step decodes of up to
+    /// `MAX_FOLD_ROWS` trajectories ([`RankNet::decode_jobs_batched`] —
+    /// one decode for a serving micro-batch): every batched kernel computes
+    /// each trajectory row independently and each request keeps its own
+    /// stream families, so the folded results stay bit-identical to
+    /// per-request calls — folding changes wall-clock time, never a
+    /// response.
     pub fn forecast_batch_entries(
         &self,
         contexts: &[&RaceContext],
         requests: &[ForecastRequest],
     ) -> Vec<Result<EngineForecast, EngineError>> {
-        // One slot load per batch: the whole batch runs on one model
-        // version, so a concurrent swap can never split it.
         let vm = self.slot.load();
-        if self.backend == DecodeBackend::Batched {
-            return self.forecast_batch_entries_folded(&vm, contexts, requests);
-        }
-        let mut first_at: HashMap<(usize, usize, usize, usize), usize> = HashMap::new();
-        let mut out: Vec<Result<EngineForecast, EngineError>> = Vec::with_capacity(requests.len());
-        for r in requests {
-            let key = (r.race, r.origin, r.horizon, r.n_samples);
-            if let Some(&j) = first_at.get(&key) {
-                self.coalesced_requests.inc();
-                out.push(out[j].clone());
-                continue;
-            }
-            let res = if r.race >= contexts.len() {
-                self.rejected_requests.inc();
-                Err(EngineError::RaceOutOfRange {
-                    race: r.race,
-                    n_contexts: contexts.len(),
-                })
-            } else {
-                self.try_forecast_on(
-                    &vm,
-                    r.race,
-                    contexts[r.race],
-                    r.origin,
-                    r.horizon,
-                    r.n_samples,
-                )
-            };
-            first_at.insert(key, out.len());
-            out.push(res);
-        }
-        out
+        self.run_pipeline(&vm, requests, true, |race| context_at(contexts, race))
     }
 
-    /// [`ForecastEngine::forecast_batch_entries`] for the `Batched`
-    /// backend: validate + encode + covariate-sample each distinct request,
-    /// decode them all as one lock-step batch, then degrade and fan the
-    /// results back out in request order.
-    fn forecast_batch_entries_folded(
+    /// The engine's one request pipeline, behind every entry point:
+    ///
+    /// 1. **dedupe** — with `coalesce`, identical requests share the first
+    ///    one's run (counted in `coalesced_requests`);
+    /// 2. **validate** each distinct request — `ctx_of` resolves its race
+    ///    to a context; an invalid request becomes its own `Err` and its
+    ///    neighbours still run;
+    /// 3. **encode** (cache-aware) and **sample covariates** per valid
+    ///    request, seeded from `(engine seed, race, origin)` — request
+    ///    identity, never call order;
+    /// 4. **decode** the valid requests in lock-step batched folds of at
+    ///    most [`MAX_FOLD_ROWS`] trajectories;
+    /// 5. **degrade** non-finite trajectories to the CurRank baseline;
+    /// 6. **fan out** one result per request, in request order.
+    ///
+    /// The caller loads the model slot once and passes it in, so a swap
+    /// landing mid-batch can never produce a torn batch (some requests
+    /// old, some new).
+    fn run_pipeline<'c>(
         &self,
         vm: &VersionedModel,
-        contexts: &[&RaceContext],
         requests: &[ForecastRequest],
+        coalesce: bool,
+        ctx_of: impl Fn(usize) -> Result<&'c RaceContext, EngineError>,
     ) -> Vec<Result<EngineForecast, EngineError>> {
         // Distinct requests in first-appearance order; duplicates point at
         // their representative's slot.
         let mut first_at: HashMap<(usize, usize, usize, usize), usize> = HashMap::new();
         let mut slot_of: Vec<usize> = Vec::with_capacity(requests.len());
-        let mut uniq: Vec<ForecastRequest> = Vec::new();
+        let mut uniq: Vec<ForecastRequest> = Vec::with_capacity(requests.len());
         for r in requests {
-            let key = (r.race, r.origin, r.horizon, r.n_samples);
-            match first_at.get(&key) {
-                Some(&u) => {
+            if coalesce {
+                let key = (r.race, r.origin, r.horizon, r.n_samples);
+                if let Some(&u) = first_at.get(&key) {
                     self.coalesced_requests.inc();
                     slot_of.push(u);
+                    continue;
                 }
-                None => {
-                    first_at.insert(key, uniq.len());
-                    slot_of.push(uniq.len());
-                    uniq.push(*r);
-                }
+                first_at.insert(key, uniq.len());
             }
+            slot_of.push(uniq.len());
+            uniq.push(*r);
         }
 
-        // Per-distinct-request inputs for the fold (validation errors keep
-        // their slot so neighbours still decode).
-        struct Prepared {
+        struct Prepared<'c> {
+            ctx: &'c RaceContext,
             enc: EncoderState,
             groups: Vec<(CovariateFuture, usize)>,
             seed: u64,
         }
-        let prepared: Vec<Result<Prepared, EngineError>> = uniq
+        let prepared: Vec<Result<Prepared<'c>, EngineError>> = uniq
             .iter()
             .map(|r| {
-                if r.race >= contexts.len() {
-                    self.rejected_requests.inc();
-                    return Err(EngineError::RaceOutOfRange {
-                        race: r.race,
-                        n_contexts: contexts.len(),
-                    });
-                }
-                let ctx = contexts[r.race];
-                if let Err(e) = validate_request(ctx, r.origin, r.horizon, r.n_samples) {
-                    self.rejected_requests.inc();
-                    return Err(e);
-                }
-                let call_seed = RngStreams::new(self.seed)
+                let checked = ctx_of(r.race).and_then(|ctx| {
+                    validate_request(ctx, r.origin, r.horizon, r.n_samples).map(|()| ctx)
+                });
+                let ctx = checked.inspect_err(|_| self.rejected_requests.inc())?;
+                let seed = RngStreams::new(self.seed)
                     .child(r.race as u64)
                     .seed(r.origin as u64);
                 let enc = self.encoder_for(vm, r.race, ctx, r.origin);
-                let groups =
-                    self.covariates_for(vm, ctx, r.origin, r.horizon, r.n_samples, call_seed);
+                let groups = self.covariates_for(vm, ctx, r.origin, r.horizon, r.n_samples, seed);
                 Ok(Prepared {
+                    ctx,
                     enc,
                     groups,
-                    seed: call_seed,
+                    seed,
                 })
             })
             .collect();
 
-        // One decode for every valid distinct request.
         let jobs: Vec<DecodeJob<'_>> = prepared
             .iter()
             .zip(&uniq)
             .filter_map(|(p, r)| {
                 p.as_ref().ok().map(|p| DecodeJob {
-                    ctx: contexts[r.race],
+                    ctx: p.ctx,
                     enc: &p.enc,
                     groups: &p.groups,
                     origin: r.origin,
@@ -813,7 +736,10 @@ impl ForecastEngine {
         } else {
             let _span = self.tracer.span(self.span_decode);
             let t0 = Instant::now();
-            let decoded = vm.model.decode_jobs_batched(&jobs, self.threads);
+            let decoded = fold_ranges(&jobs)
+                .into_iter()
+                .flat_map(|fold| vm.model.decode_jobs_batched(&jobs[fold], self.threads))
+                .collect();
             self.add_ns(&self.decode_ns, t0);
             decoded
         };
@@ -826,12 +752,11 @@ impl ForecastEngine {
             .zip(&uniq)
             .map(|(p, r)| {
                 let p = p?;
-                let ctx = contexts[r.race];
                 let mut samples = decoded
                     .next()
-                    .unwrap_or_else(|| vec![Vec::new(); ctx.sequences.len()]);
+                    .unwrap_or_else(|| vec![Vec::new(); p.ctx.sequences.len()]);
                 let degraded_trajectories =
-                    degrade_non_finite(ctx, &mut samples, r.origin, r.horizon);
+                    degrade_non_finite(p.ctx, &mut samples, r.origin, r.horizon);
                 self.degraded_trajectories.add(degraded_trajectories);
                 self.calls.inc();
                 self.trajectories
@@ -844,6 +769,9 @@ impl ForecastEngine {
                 })
             })
             .collect();
+        if unique_results.len() == requests.len() {
+            return unique_results; // nothing coalesced: one result per request
+        }
         slot_of.iter().map(|&u| unique_results[u].clone()).collect()
     }
 
@@ -905,7 +833,21 @@ impl ForecastEngine {
     }
 }
 
-/// Request validation shared by the single and batched entry points.
+/// Resolve a batch request's race index to its context.
+fn context_at<'c>(
+    contexts: &[&'c RaceContext],
+    race: usize,
+) -> Result<&'c RaceContext, EngineError> {
+    contexts
+        .get(race)
+        .copied()
+        .ok_or(EngineError::RaceOutOfRange {
+            race,
+            n_contexts: contexts.len(),
+        })
+}
+
+/// Request validation shared by every entry point.
 fn validate_request(
     ctx: &RaceContext,
     origin: usize,
@@ -927,7 +869,9 @@ fn validate_request(
         if seq.len() < origin {
             continue; // retired before the origin: not encoded
         }
-        let cols: [&[f32]; 9] = [
+        // Scenario columns too: the encoder reads them when the model uses
+        // scenario features, and the PitModel reads tyre age and wetness.
+        let cols: [&[f32]; 13] = [
             &seq.rank,
             &seq.lap_time,
             &seq.time_behind,
@@ -937,6 +881,10 @@ fn validate_request(
             &seq.pit_age,
             &seq.leader_pit_count,
             &seq.total_pit_count,
+            &seq.compound,
+            &seq.tyre_age,
+            &seq.track_wetness,
+            &seq.fuel_target,
         ];
         for col in cols {
             for (lap, &v) in col.iter().take(origin).enumerate() {

@@ -40,7 +40,7 @@ pub mod rank_model;
 pub mod ranknet;
 pub mod transformer_model;
 
-pub use config::{DecodeBackend, EngineConfig, RankNetConfig};
+pub use config::{EngineConfig, RankNetConfig};
 pub use engine::{
     currank_forecast, EngineError, EngineForecast, ForecastEngine, ForecastRequest, PhaseTimings,
 };

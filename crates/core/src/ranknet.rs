@@ -12,7 +12,7 @@
 //! * `Joint` — the ablation that trains the multivariate target jointly and
 //!   fails from data sparsity.
 
-use crate::config::{DecodeBackend, RankNetConfig};
+use crate::config::RankNetConfig;
 use crate::features::RaceContext;
 use crate::instances::{Covariates, TrainingSet};
 use crate::pit_model::{PitModel, PitState};
@@ -161,37 +161,20 @@ impl RankNet {
         seed: u64,
         threads: usize,
     ) -> ForecastSamples {
-        self.forecast_seeded_backend(
+        let enc = self.rank_model.encode(ctx, origin);
+        let groups = self.covariate_groups(ctx, origin, horizon, n_samples, seed);
+        let job = DecodeJob {
             ctx,
+            enc: &enc,
+            groups: &groups,
             origin,
             horizon,
             n_samples,
             seed,
-            threads,
-            DecodeBackend::default(),
-        )
-    }
-
-    /// [`RankNet::forecast_seeded`] with an explicit decode backend. `Tape`
-    /// and `PerRow` are bit-identical to each other; `Batched` (the
-    /// default) is tolerance-equal to them and bit-deterministic in its own
-    /// right — still a pure function of the non-`threads` arguments.
-    #[allow(clippy::too_many_arguments)]
-    pub fn forecast_seeded_backend(
-        &self,
-        ctx: &RaceContext,
-        origin: usize,
-        horizon: usize,
-        n_samples: usize,
-        seed: u64,
-        threads: usize,
-        backend: DecodeBackend,
-    ) -> ForecastSamples {
-        let enc = self.rank_model.encode(ctx, origin);
-        let groups = self.covariate_groups(ctx, origin, horizon, n_samples, seed);
-        self.decode_groups(
-            ctx, &enc, &groups, origin, horizon, n_samples, seed, threads, backend,
-        )
+        };
+        self.decode_jobs_batched(&[job], threads)
+            .pop()
+            .unwrap_or_default()
     }
 
     /// The variant-dependent covariate step of Algorithm 2: a list of
@@ -257,71 +240,14 @@ impl RankNet {
         }
     }
 
-    /// Decode every covariate group from a shared encoder state and merge
-    /// the trajectories, truncating the MLP variant's rounded-up group
-    /// product back to `n_samples`.
-    ///
-    /// `Tape` / `PerRow` decode the groups one after another through the
-    /// reference backends; `Batched` folds all groups into a single
-    /// lock-step batch ([`RankModel::decode_runs_batched`]) — legal because
-    /// each group keeps its own stream family and batched rows never
+    /// Decode every covariate group of every job — typically the distinct
+    /// requests of one serving micro-batch, each already encoded and
+    /// covariate-sampled — in one lock-step batched decode, and merge each
+    /// job's trajectories, truncating the MLP variant's rounded-up group
+    /// product back to `n_samples`. Every `(job, covariate group)` pair
+    /// becomes a [`BatchedRun`] with its own stream family, so a job's
+    /// samples are bit-identical to decoding it alone: batched rows never
     /// influence each other.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn decode_groups(
-        &self,
-        ctx: &RaceContext,
-        enc: &EncoderState,
-        groups: &[(CovariateFuture, usize)],
-        origin: usize,
-        horizon: usize,
-        n_samples: usize,
-        seed: u64,
-        threads: usize,
-        backend: DecodeBackend,
-    ) -> ForecastSamples {
-        if backend == DecodeBackend::Batched {
-            let job = DecodeJob {
-                ctx,
-                enc,
-                groups,
-                origin,
-                horizon,
-                n_samples,
-                seed,
-            };
-            return self
-                .decode_jobs_batched(&[job], threads)
-                .pop()
-                .unwrap_or_default();
-        }
-        let rank_streams = RngStreams::new(seed).child(RANK_STREAM_TAG);
-        let mut all: ForecastSamples = vec![Vec::new(); ctx.sequences.len()];
-        for (g, (cov, per_group)) in groups.iter().enumerate() {
-            let streams = rank_streams.child(g as u64);
-            let got = match backend {
-                DecodeBackend::Tape => self.rank_model.decode_tape(
-                    ctx, cov, origin, horizon, *per_group, enc, &streams, threads,
-                ),
-                _ => self.rank_model.decode(
-                    ctx, cov, origin, horizon, *per_group, enc, &streams, threads,
-                ),
-            };
-            for (slot, paths) in all.iter_mut().zip(got) {
-                slot.extend(paths);
-            }
-        }
-        for slot in all.iter_mut() {
-            slot.truncate(n_samples);
-        }
-        all
-    }
-
-    /// Fold several decode jobs — typically the distinct requests of one
-    /// serving micro-batch, each already encoded and covariate-sampled —
-    /// into one batched decode. Every `(job, covariate group)` pair becomes
-    /// a [`BatchedRun`] with the stream family the per-job path would have
-    /// used, so each job's samples are bit-identical to decoding it alone
-    /// with the batched backend.
     pub(crate) fn decode_jobs_batched(
         &self,
         jobs: &[DecodeJob<'_>],
@@ -366,7 +292,7 @@ impl RankNet {
 
 /// One request's worth of decode work, ready to fold into a batched decode:
 /// the encoder state and covariate groups are already computed; `seed` is
-/// the per-call seed [`RankNet::decode_groups`] would have received.
+/// the per-call seed the rank and covariate streams derive from.
 pub(crate) struct DecodeJob<'a> {
     pub ctx: &'a RaceContext,
     pub enc: &'a EncoderState,
@@ -375,6 +301,14 @@ pub(crate) struct DecodeJob<'a> {
     pub horizon: usize,
     pub n_samples: usize,
     pub seed: u64,
+}
+
+impl DecodeJob<'_> {
+    /// Trajectory rows this job adds to a batched decode: every car times
+    /// every covariate group's replicas.
+    pub(crate) fn rows(&self) -> usize {
+        self.enc.cars.len() * self.groups.iter().map(|(_, per)| per).sum::<usize>()
+    }
 }
 
 /// Sample one joint future of the race status for every car (PitModel step

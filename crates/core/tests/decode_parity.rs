@@ -21,7 +21,7 @@ use ranknet_core::rank_model::{
     oracle_covariates, BatchedRun, CovariateFuture, ForecastSamples, RankModel, TargetKind,
 };
 use ranknet_core::ranknet::{RankNet, RankNetVariant};
-use ranknet_core::{DecodeBackend, RankNetConfig};
+use ranknet_core::RankNetConfig;
 use rpf_nn::RngStreams;
 use rpf_racesim::{simulate_race, Event, EventConfig};
 
@@ -238,31 +238,29 @@ fn joint_batched_is_deterministic_and_finite() {
 }
 
 #[test]
-fn engine_backends_agree_within_tolerance_and_batched_is_default() {
-    // The backend-mismatch regression gate: per-row and batched engines on
-    // the same request must agree within RANK_TOL, and loudly fail here if
-    // a kernel change drives them apart.
+fn fitted_ranknet_batched_tracks_tape_within_tolerance() {
+    // The decode-mismatch regression gate on a model fitted through the
+    // full RankNet path (Oracle variant): the serving decode and the tape
+    // reference on the same inputs must agree within RANK_TOL, and this
+    // fails loudly if a kernel change drives them apart.
     let train = vec![race_ctx(67)];
     let (model, _) = RankNet::fit(train.clone(), train, tiny_cfg(), RankNetVariant::Oracle, 40);
     let test = race_ctx(68);
+    let rank_model = &model.rank_model;
 
-    let batched = ForecastEngine::new(&model, 5).with_threads(1);
-    assert_eq!(batched.backend(), DecodeBackend::Batched);
-    let per_row = ForecastEngine::new(&model, 5)
-        .with_threads(1)
-        .with_backend(DecodeBackend::PerRow);
-    let tape = ForecastEngine::new(&model, 5)
-        .with_threads(1)
-        .with_backend(DecodeBackend::Tape);
+    let (origin, horizon, n_samples) = (90, 2, 8);
+    let cov = oracle_covariates(&test, origin, horizon, model.cfg.prediction_len);
+    let enc = rank_model.encode(&test, origin);
+    let streams = RngStreams::new(5);
 
-    let fb = batched.forecast(&test, 90, 2, 8);
-    let fp = per_row.forecast(&test, 90, 2, 8);
-    let ft = tape.forecast(&test, 90, 2, 8);
-    assert_eq!(bits(&fp), bits(&ft), "reference backends must stay bitwise");
-    let worst = max_diff(&fp, &fb);
+    let tape = rank_model.decode_tape(&test, &cov, origin, horizon, n_samples, &enc, &streams, 1);
+    let batched =
+        rank_model.decode_batched(&test, &cov, origin, horizon, n_samples, &enc, &streams, 1);
+    assert!(!bits(&tape).is_empty());
+    let worst = max_diff(&tape, &batched);
     assert!(
         worst <= RANK_TOL,
-        "batched and reference engine backends diverged by {worst} (bound {RANK_TOL})"
+        "batched and tape decodes diverged by {worst} (bound {RANK_TOL})"
     );
 }
 

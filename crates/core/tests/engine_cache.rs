@@ -138,7 +138,6 @@ fn engine_config_carries_cache_capacity() {
         seed: 11,
         threads: Some(1),
         encoder_cache_capacity: 2,
-        ..EngineConfig::default()
     };
     let engine = ForecastEngine::with_config(&model, &cfg);
     for i in 0..6 {

@@ -9,7 +9,7 @@ use ranknet_core::features::{extract_sequences, RaceContext};
 use ranknet_core::instances::TrainingSet;
 use ranknet_core::rank_model::{oracle_covariates, ForecastSamples, RankModel, TargetKind};
 use ranknet_core::ranknet::{RankNet, RankNetVariant};
-use ranknet_core::{DecodeBackend, RankNetConfig};
+use ranknet_core::RankNetConfig;
 use rpf_nn::RngStreams;
 use rpf_racesim::{simulate_race, Event, EventConfig};
 
@@ -49,9 +49,11 @@ fn decode_is_bit_identical_across_thread_counts() {
     let enc = model.encode(&ctx, origin);
     let streams = RngStreams::new(0xDECAF);
 
-    let seq = model.decode(&ctx, &cov, origin, horizon, n_samples, &enc, &streams, 1);
+    // The tape reference decode; the serving (batched) decode's thread
+    // sweep lives in the decode_parity suite.
+    let seq = model.decode_tape(&ctx, &cov, origin, horizon, n_samples, &enc, &streams, 1);
     for threads in [2, 4, 13] {
-        let par = model.decode(
+        let par = model.decode_tape(
             &ctx, &cov, origin, horizon, n_samples, &enc, &streams, threads,
         );
         assert_eq!(
@@ -60,41 +62,6 @@ fn decode_is_bit_identical_across_thread_counts() {
             "decode with {threads} threads must replay the sequential draws"
         );
     }
-}
-
-#[test]
-fn runtime_decode_matches_tape_reference_across_thread_counts() {
-    // The serving path runs tape-free; the training-graph decode survives as
-    // `decode_tape`. The two must agree bit-for-bit, at every thread count.
-    let ctx = race_ctx(51);
-    let cfg = tiny_cfg();
-    let ts = TrainingSet::build(vec![ctx.clone()], &cfg, 24);
-    let mut model = RankModel::new(cfg.clone(), TargetKind::RankOnly, ts.max_car_id);
-    let _ = model.train(&ts, &ts);
-
-    let origin = 80;
-    let horizon = 3;
-    let n_samples = 6;
-    let cov = oracle_covariates(&ctx, origin, horizon, cfg.prediction_len);
-    let enc = model.encode(&ctx, origin);
-    let streams = RngStreams::new(0xBEEF);
-
-    let reference = model.decode_tape(&ctx, &cov, origin, horizon, n_samples, &enc, &streams, 1);
-    assert!(!bits(&reference).is_empty());
-    for threads in [1, 2, 8] {
-        let got = model.decode(
-            &ctx, &cov, origin, horizon, n_samples, &enc, &streams, threads,
-        );
-        assert_eq!(
-            bits(&reference),
-            bits(&got),
-            "tape-free decode with {threads} threads must match the tape reference"
-        );
-    }
-    // The tape backend is itself thread invariant, so either backend at any
-    // thread count yields the same forecast.
-    let tape_par = model.decode_tape(&ctx, &cov, origin, horizon, n_samples, &enc, &streams, 8);
-    assert_eq!(bits(&reference), bits(&tape_par));
 }
 
 #[test]
@@ -153,34 +120,25 @@ fn engine_matches_seeded_path_reuses_encoder_and_counts_phases() {
 }
 
 #[test]
-fn every_backend_is_thread_invariant() {
-    // Each decode backend must produce bit-identical samples at 1, 2 and 8
-    // decoder threads — including the batched backend, whose lock-step
-    // rows are chunked across workers (row independence keeps the bits).
+fn engine_is_thread_invariant() {
+    // The engine must produce bit-identical samples at 1, 2 and 8 decoder
+    // threads: its lock-step batched rows are chunked across workers, and
+    // row independence keeps the bits.
     let train = vec![race_ctx(33)];
     let (model, _) = RankNet::fit(train.clone(), train, tiny_cfg(), RankNetVariant::Oracle, 40);
     let test = race_ctx(34);
 
-    for backend in [
-        DecodeBackend::Tape,
-        DecodeBackend::PerRow,
-        DecodeBackend::Batched,
-    ] {
-        let base = ForecastEngine::new(&model, 5)
-            .with_threads(1)
-            .with_backend(backend);
-        let want = base.forecast(&test, 85, 2, 8);
-        for threads in [2, 8] {
-            let engine = ForecastEngine::new(&model, 5)
-                .with_threads(threads)
-                .with_backend(backend);
-            let got = engine.forecast(&test, 85, 2, 8);
-            assert_eq!(
-                bits(&want),
-                bits(&got),
-                "{backend:?} backend with {threads} threads changed the samples"
-            );
-        }
+    let want = ForecastEngine::new(&model, 5)
+        .with_threads(1)
+        .forecast(&test, 85, 2, 8);
+    for threads in [2, 8] {
+        let engine = ForecastEngine::new(&model, 5).with_threads(threads);
+        let got = engine.forecast(&test, 85, 2, 8);
+        assert_eq!(
+            bits(&want),
+            bits(&got),
+            "engine with {threads} threads changed the samples"
+        );
     }
 }
 
@@ -226,4 +184,40 @@ fn engine_batch_matches_individual_calls() {
     let fresh = ForecastEngine::new(&model, 7).with_threads(2);
     let solo = fresh.forecast_keyed(1, &r1, 75, 3, 4);
     assert_eq!(bits(&batch[1]), bits(&solo));
+}
+
+#[test]
+fn long_batch_decodes_in_folds_bit_identical_to_individual_calls() {
+    // Five 100-sample requests over a full field are more trajectory rows
+    // than one lock-step decode takes, so the engine decodes them in
+    // several folds; every answer must still match a solo call.
+    let train = vec![race_ctx(51)];
+    let (model, _) = RankNet::fit(train.clone(), train, tiny_cfg(), RankNetVariant::Mlp, 40);
+    let race = race_ctx(52);
+    let requests: Vec<ForecastRequest> = (0..5)
+        .map(|i| ForecastRequest {
+            race: 0,
+            origin: 40 + 10 * i,
+            horizon: 2,
+            n_samples: 100,
+        })
+        .collect();
+    let rows: usize = requests
+        .iter()
+        .map(|r| r.n_samples * race.sequences.len())
+        .sum();
+    assert!(
+        rows > 8192,
+        "the batch must span several folds ({rows} rows)"
+    );
+
+    let batch = ForecastEngine::new(&model, 9)
+        .with_threads(2)
+        .forecast_batch(&[&race], &requests);
+    for (r, got) in requests.iter().zip(&batch) {
+        let solo = ForecastEngine::new(&model, 9)
+            .with_threads(1)
+            .forecast_keyed(0, &race, r.origin, r.horizon, r.n_samples);
+        assert_eq!(bits(got), bits(&solo), "origin {} diverged", r.origin);
+    }
 }

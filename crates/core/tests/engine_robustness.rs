@@ -99,6 +99,20 @@ fn non_finite_history_is_rejected_before_the_model_runs() {
 }
 
 #[test]
+fn non_finite_scenario_column_is_rejected() {
+    // The encoder (with scenario features) and the PitModel read the
+    // scenario columns, so they are validated like the Table I features.
+    let (model, ctx) = fixture();
+    let mut bad = ctx.clone();
+    bad.sequences[4].track_wetness[12] = f32::NAN;
+    let engine = ForecastEngine::new(model, 1);
+    let err = engine.try_forecast(&bad, 50, 2, 2).expect_err("reject");
+    assert_eq!(err, EngineError::NonFiniteFeature { car: 4, lap: 12 });
+    assert_eq!(engine.timings().rejected_requests, 1);
+    assert_eq!(engine.timings().calls, 0);
+}
+
+#[test]
 fn batch_is_validated_before_any_work_runs() {
     let (model, ctx) = fixture();
     let engine = ForecastEngine::new(model, 1);

@@ -81,10 +81,19 @@ fn concurrent_keepalive_clients_all_match_direct_calls() {
                             HttpClient::connect(addr, Duration::from_secs(10)).expect("connect");
                         let mix = LoadMix::standard(2, (40, 100));
                         let streams = RngStreams::new(0xA11CE + c as u64);
-                        for i in 0..6 {
-                            let req = mix.request_at(&streams, i);
-                            let outcome = wire_call(&mut client, &req);
-                            assert_parity(&req, &outcome);
+                        // Send back to back and check afterwards: a direct
+                        // reference computed between requests can outlast
+                        // the gateway's 300 ms keep-alive read timeout when
+                        // four clients share the CPUs, and the expired
+                        // connection would fail the next request.
+                        let outcomes: Vec<_> = (0..6)
+                            .map(|i| {
+                                let req = mix.request_at(&streams, i);
+                                (req, wire_call(&mut client, &req))
+                            })
+                            .collect();
+                        for (req, outcome) in &outcomes {
+                            assert_parity(req, outcome);
                         }
                     })
                 })

@@ -360,7 +360,7 @@ impl InferGaussianHead {
     }
 
     /// Batched mirror of [`InferGaussianHead::forward_into`] for the
-    /// lock-step decode backend: the mu/sigma projections run as one fused
+    /// lock-step batched decode: the mu/sigma projections run as one fused
     /// pass over the `(batch, hidden)` block (`dual_affine_into`) instead
     /// of two `n == 1` GEMVs, then the same softplus + floor sweeps. Within
     /// a few ulps of the tape head; row-independent, so each row's output

@@ -6,8 +6,8 @@
 //! ([`crate::serve_with_lifecycle`]). A candidate version is *staged*;
 //! while staged, a deterministic sample of admissions (`admission id %
 //! shadow_sample_every == 0` — request identity, never wall clock) is run
-//! through a **shadow engine** holding the candidate, built with the live
-//! engine's seed and backend so its outputs are bit-identical to what the
+//! through a **shadow engine** holding the candidate, forked from the live
+//! engine's configuration so its outputs are bit-identical to what the
 //! candidate would serve after promotion. The rank divergence between the
 //! live and shadow answers feeds the `serve_shadow_divergence_milli`
 //! histogram; after `shadow_min_samples` comparisons the controller
@@ -79,8 +79,8 @@ pub enum CandidateDecision {
 /// A staged candidate mid-shadow-evaluation.
 struct Candidate {
     version: u64,
-    /// Engine over the candidate with the live seed/backend/threads — its
-    /// answers are bit-identical to post-promotion serving.
+    /// Engine over the candidate forked from the live engine's settings —
+    /// its answers are bit-identical to post-promotion serving.
     shadow: ForecastEngine,
     samples: u64,
     divergence_sum: u64,
@@ -135,12 +135,7 @@ impl LifecycleController {
     /// Stage a candidate for shadow evaluation against `live`. Replaces
     /// (and silently drops) any previously staged candidate.
     pub fn stage_candidate(&self, live: &ForecastEngine, version: u64, model: Arc<RankNet>) {
-        let shadow = ForecastEngine::with_slot(
-            ModelSlot::new(VersionedModel::new(version, model)),
-            live.seed(),
-        )
-        .with_backend(live.backend())
-        .with_threads(live.threads());
+        let shadow = live.fork_with(VersionedModel::new(version, model));
         *self.lock_state() = Some(Candidate {
             version,
             shadow,
@@ -397,5 +392,63 @@ impl LifecycleController {
 
     fn lock_decisions(&self) -> MutexGuard<'_, Vec<CandidateDecision>> {
         self.decisions.lock().unwrap_or_else(|p| p.into_inner())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ranknet_core::features::extract_sequences;
+    use ranknet_core::{RankNetConfig, RankNetVariant};
+    use rpf_racesim::{simulate_race, Event, EventConfig};
+
+    #[test]
+    fn shadow_engine_keeps_the_live_cache_bound() {
+        let ctx = extract_sequences(&simulate_race(
+            &EventConfig::for_race(Event::Indy500, 2017),
+            101,
+        ));
+        let cfg = RankNetConfig {
+            max_epochs: 1,
+            ..RankNetConfig::tiny()
+        };
+        let (model, _) = RankNet::fit(
+            vec![ctx.clone()],
+            vec![ctx.clone()],
+            cfg,
+            RankNetVariant::Oracle,
+            40,
+        );
+        let model = Arc::new(model);
+        let live = ForecastEngine::new(Arc::clone(&model), 5)
+            .with_threads(1)
+            .with_cache_capacity(2);
+        let controller = LifecycleController::new(LifecycleConfig {
+            shadow_sample_every: 1,
+            shadow_min_samples: 100,
+            ..LifecycleConfig::default()
+        });
+        controller.stage_candidate(&live, 2, Arc::clone(&model));
+
+        // Five origins, every one shadowed; no decision is reached.
+        let contexts = [&ctx];
+        for (id, origin) in (60..65).enumerate() {
+            let served = live
+                .try_forecast_keyed(0, &ctx, origin, 2, 2)
+                .expect("valid request");
+            let req = ServeRequest::new(0, origin, 2, 2);
+            let decision = controller.observe(&live, &contexts, id as u64, &req, &served);
+            assert_eq!(decision, None);
+        }
+
+        let state = controller.lock_state();
+        let shadow = &state.as_ref().expect("candidate still staged").shadow;
+        assert_eq!(shadow.timings().calls, 5, "every request was shadowed");
+        assert_eq!(live.cache_len(), 2);
+        assert!(
+            shadow.cache_len() <= 2,
+            "shadow cached {} encoder states past the live bound of 2",
+            shadow.cache_len()
+        );
     }
 }

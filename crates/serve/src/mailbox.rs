@@ -87,6 +87,15 @@ pub(crate) struct Mailbox {
     capacity: usize,
 }
 
+/// Closes its mailbox on drop; see [`Mailbox::close_on_drop`].
+pub(crate) struct CloseOnDrop<'a>(&'a Mailbox);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 impl Mailbox {
     pub(crate) fn new(capacity: usize) -> Mailbox {
         Mailbox {
@@ -148,6 +157,15 @@ impl Mailbox {
     pub(crate) fn close(&self) {
         self.lock().shutdown = true;
         self.wakeup.notify_all();
+    }
+
+    /// A guard that closes this mailbox when dropped — on the normal and
+    /// the unwinding exit path out of a serving region's body. Without it,
+    /// a panicking body would skip the close and the region's
+    /// `thread::scope` would join workers still waiting for work, turning
+    /// the panic into a deadlock.
+    pub(crate) fn close_on_drop(&self) -> CloseOnDrop<'_> {
+        CloseOnDrop(self)
     }
 
     /// Requests admitted and not yet picked up by a worker.

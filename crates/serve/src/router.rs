@@ -6,7 +6,7 @@
 //! For a fixed `(shard_count, layout)` every response is bit-identical to
 //! the unsharded path: [`shard_of`] is a pure FNV-1a hash of the request
 //! key, each shard serves a [`ForecastEngine::fork`] carrying the live
-//! seed/backend/cache sizing, and the engine keys every draw on
+//! seed/thread/cache sizing, and the engine keys every draw on
 //! `(seed, race, origin)` — so *where* a request is served is invisible
 //! in *what* it answers. Changing the shard count re-partitions the key
 //! space (and re-numbers per-shard admission ids) but still cannot change
@@ -147,10 +147,12 @@ pub fn serve_sharded<R>(
         for shard in &shards {
             s.spawn(|| supervise(s, shard));
         }
+        let closers: Vec<_> = shards
+            .iter()
+            .map(|shard| shard.shared.mailbox.close_on_drop())
+            .collect();
         let out = body(ShardedClient { shards: &shards });
-        for shard in &shards {
-            shard.shared.mailbox.close();
-        }
+        drop(closers);
         out
     });
     for shard in &shards {

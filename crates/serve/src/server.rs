@@ -229,7 +229,8 @@ pub(crate) fn deadline_expired(waited: Duration, deadline: Option<Duration>) -> 
 /// Run a serving scope: spawn `cfg.workers` scheduler threads over
 /// `engine`, hand the body a [`ServeClient`], and on return close
 /// admission, drain the queue, join the workers, and report the final
-/// metrics. Requests reference `contexts` by index, exactly like
+/// metrics. A panicking body closes admission too, so the panic reaches
+/// the caller once the workers have drained. Requests reference `contexts` by index, exactly like
 /// [`ForecastEngine::try_forecast_batch`].
 pub fn serve<R>(
     engine: &ForecastEngine,
@@ -271,8 +272,9 @@ fn serve_inner<R>(
         for _ in 0..cfg.workers {
             s.spawn(|| worker_loop(&shared));
         }
+        let closer = shared.mailbox.close_on_drop();
         let out = body(ServeClient { shared: &shared });
-        shared.mailbox.close();
+        drop(closer);
         out
     });
     if let Some(lc) = lifecycle {

@@ -26,7 +26,7 @@ pub(crate) struct Shard<'a> {
 
 impl<'a> Shard<'a> {
     /// Build shard `id` over its own forked `engine`. The fork carries the
-    /// live seed, backend, thread count and cache capacity, so the shard's
+    /// live seed, thread count and cache capacity, so the shard's
     /// answers are bit-identical to the flat region's (the determinism
     /// contract: draws key on request identity, never on placement).
     pub(crate) fn new(

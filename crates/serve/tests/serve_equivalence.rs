@@ -7,7 +7,6 @@ mod common;
 use common::{assert_parity, bits, fixture, ENGINE_SEED};
 use ranknet_core::engine::ForecastEngine;
 use ranknet_core::features::RaceContext;
-use ranknet_core::DecodeBackend;
 use rpf_nn::RngStreams;
 use rpf_serve::loadgen::{self, LoadMix, MultiRaceMix};
 use rpf_serve::{
@@ -56,65 +55,6 @@ fn batched_serving_matches_direct_calls_across_worker_counts() {
         assert_eq!(metrics.completed, 40);
         assert_eq!(metrics.accepted, 40);
         assert_eq!(metrics.ok_responses, 40);
-    }
-}
-
-/// The worker sweep above pins the engine's *default* backend — which is
-/// the batched one, so lock-step serving is what the parity suite
-/// exercises. Backend choice must be orthogonal to serving: a reference
-/// (per-row) served engine replays a reference direct engine's bits at
-/// every worker count too.
-#[test]
-fn reference_backend_serving_matches_reference_direct_calls() {
-    let (model, contexts) = fixture();
-    let refs = ctx_refs(contexts);
-    assert_eq!(
-        ForecastEngine::new(model, ENGINE_SEED).backend(),
-        DecodeBackend::Batched,
-        "serving parity must be exercising the batched backend by default"
-    );
-
-    let requests = [
-        ServeRequest::new(0, 60, 2, 5),
-        ServeRequest::new(1, 75, 3, 4),
-        ServeRequest::new(0, 60, 2, 5),
-    ];
-    for workers in [1usize, 2, 8] {
-        let engine = ForecastEngine::new(model, ENGINE_SEED)
-            .with_threads(1)
-            .with_backend(DecodeBackend::PerRow);
-        let cfg = ServeConfig {
-            workers,
-            max_batch: 4,
-            max_delay: Duration::from_millis(2),
-            queue_capacity: 64,
-        };
-        let (outcomes, _) = serve(&engine, &refs, &cfg, |client| {
-            requests
-                .iter()
-                .map(|r| client.forecast(*r).expect("admitted"))
-                .collect::<Vec<_>>()
-        });
-        for (req, outcome) in requests.iter().zip(outcomes) {
-            let served = outcome.expect("valid request");
-            let reference = ForecastEngine::new(model, ENGINE_SEED)
-                .with_threads(1)
-                .with_backend(DecodeBackend::PerRow);
-            let want = reference
-                .try_forecast_keyed(
-                    req.race,
-                    &contexts[req.race],
-                    req.origin,
-                    req.horizon,
-                    req.n_samples,
-                )
-                .expect("direct call must accept what serving accepted");
-            assert_eq!(
-                bits(&want),
-                bits(&served.forecast),
-                "per-row served forecast diverged ({workers} workers)"
-            );
-        }
     }
 }
 
@@ -258,6 +198,46 @@ fn shutdown_drains_every_accepted_request() {
     assert_eq!(answered, 10);
     assert_eq!(metrics.completed, 10, "drain must answer everything");
     assert_eq!(metrics.accepted, 10);
+}
+
+/// A panic in the serve body must close admission on its way out, so the
+/// region's workers stop and the panic reaches the caller. Without that,
+/// the region's scope joins workers still waiting for work, forever.
+#[test]
+fn panicking_body_propagates_instead_of_hanging() {
+    let (model, contexts) = fixture();
+    let refs = ctx_refs(contexts);
+    let cfg = ServeConfig {
+        workers: 2,
+        max_batch: 4,
+        max_delay: Duration::from_millis(2),
+        queue_capacity: 16,
+    };
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let engine = ForecastEngine::new(model, ENGINE_SEED).with_threads(1);
+        let flat = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serve(&engine, &refs, &cfg, |client| {
+                let _ = client.submit(ServeRequest::new(0, 70, 2, 2));
+                panic!("body fails");
+            })
+        }));
+        let sharded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serve_sharded(&engine, &refs, &cfg, ShardTopology::new(2), |client| {
+                let _ = client.submit(ServeRequest::new(0, 70, 2, 2));
+                panic!("body fails");
+            })
+        }));
+        let _ = done_tx.send((flat.is_err(), sharded.is_err()));
+    });
+    let (flat_panicked, sharded_panicked) = done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a panicking serve body deadlocked its region");
+    assert!(flat_panicked, "serve must propagate the body's panic");
+    assert!(
+        sharded_panicked,
+        "serve_sharded must propagate the body's panic"
+    );
 }
 
 /// The sharded tentpole pin: for every fixed layout in 1/2/4 shards ×

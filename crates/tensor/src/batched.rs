@@ -4,7 +4,7 @@
 //! bitwise tape-parity contract: separate mul/add (never FMA), zero-skip,
 //! and the shared libm-backed `sigmoid`/`tanh`. That contract caps the GEMM
 //! at the non-FMA vector roofline and spends over a fifth of decode time in
-//! scalar `exp` calls. The batched decode backend trades that contract for
+//! scalar `exp` calls. The batched decode trades that contract for
 //! a *tolerance-pinned* one (see `DESIGN.md` §13): results may differ from
 //! the tape in the last few ulps per step, but must be **bit-deterministic
 //! for a fixed batch layout** and — crucially — **row-independent**: every

@@ -23,7 +23,7 @@ cargo test -q -p rpf-nn --test infer_parity --offline
 echo "== decode parity (batched vs tape within tolerance, bit-deterministic) =="
 cargo test -q -p ranknet-core --test decode_parity --offline
 
-echo "== engine determinism (every backend across thread counts) =="
+echo "== engine determinism (tape reference + engine across thread counts) =="
 cargo test -q -p ranknet-core --test engine_determinism --offline
 
 echo "== engine cache bounds (LRU cap + eviction bit-determinism) =="
@@ -89,7 +89,7 @@ cargo test -q -p ranknet-core --test engine_obs --offline
 echo "== obs disabled-overhead gate (< 1% of decode, release) =="
 cargo test -q -p rpf-bench --test obs_overhead --release --offline
 
-echo "== decode perf gate (batched beats per-row at batch >= 16, release) =="
+echo "== decode perf gate (batched beats the tape reference, > 3.4x at batch 16, > 5.5x at 100, release) =="
 cargo test -q -p rpf-bench --test decode_perf_gate --release --offline
 
 echo "== scenario properties (per-family determinism, physicality, tyre aging) =="
