@@ -55,13 +55,17 @@ fn bench_engine_thread_scaling(c: &mut Criterion) {
     for &threads in &[1usize, 2, 4, 8] {
         let engine = ForecastEngine::new(&model, 7).with_threads(threads);
         // Warm the encoder cache so the sweep isolates the decoder.
-        let _ = engine.forecast(&ctx, origin, horizon, n_samples);
+        engine
+            .try_forecast_keyed(0, &ctx, origin, horizon, n_samples)
+            .expect("valid");
         group.bench_with_input(
             BenchmarkId::new("two_lap_full_field_100_samples", threads),
             &threads,
             |bench, _| {
                 bench.iter(|| {
-                    std::hint::black_box(engine.forecast(&ctx, origin, horizon, n_samples))
+                    std::hint::black_box(
+                        engine.try_forecast_keyed(0, &ctx, origin, horizon, n_samples),
+                    )
                 });
             },
         );

@@ -344,11 +344,15 @@ pub fn engine_report(profile: &Profile) {
     let mut reference: Option<Vec<u32>> = None;
     for threads in [1usize, 2, 4, 8] {
         let engine = ForecastEngine::new(Arc::clone(&model), 7).with_threads(threads);
-        let cold = engine.forecast_batch(&[test], &requests);
+        let cold: Vec<_> = engine
+            .forecast_batch_entries(&[test], &requests)
+            .into_iter()
+            .map(|r| r.expect("every origin is valid").samples)
+            .collect();
         let first = engine.timings();
         engine.reset_timings();
         // Same batch again: every origin now hits the encoder cache.
-        let _warm = engine.forecast_batch(&[test], &requests);
+        let _warm = engine.forecast_batch_entries(&[test], &requests);
         let second = engine.timings();
 
         let bits: Vec<u32> = cold

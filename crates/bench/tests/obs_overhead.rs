@@ -36,7 +36,9 @@ fn disabled_recorder_costs_under_one_percent_of_decode() {
     // 1. Count the operator records one decode emits, with profiling ON.
     rpf_obs::ops::reset();
     rpf_obs::ops::set_enabled(true);
-    let _ = engine.forecast(&ctx, origin, horizon, n_samples);
+    engine
+        .try_forecast_keyed(0, &ctx, origin, horizon, n_samples)
+        .expect("valid");
     let records_per_decode: u64 = rpf_obs::ops::all_stats().iter().map(|(_, s)| s.calls).sum();
     rpf_obs::ops::set_enabled(false);
     rpf_obs::ops::reset();
@@ -60,11 +62,13 @@ fn disabled_recorder_costs_under_one_percent_of_decode() {
 
     // 3. Decode wall time with the recorder disabled (warm encoder cache,
     // best-of-three to shave scheduler noise).
-    let _ = engine.forecast(&ctx, origin, horizon, n_samples);
+    engine
+        .try_forecast_keyed(0, &ctx, origin, horizon, n_samples)
+        .expect("valid");
     let decode_ns = (0..3)
         .map(|_| {
             let t = Instant::now();
-            black_box(engine.forecast(&ctx, origin, horizon, n_samples));
+            let _ = black_box(engine.try_forecast_keyed(0, &ctx, origin, horizon, n_samples));
             t.elapsed().as_nanos() as f64
         })
         .fold(f64::INFINITY, f64::min);

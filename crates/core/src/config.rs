@@ -57,36 +57,6 @@ pub struct RankNetConfig {
     pub likelihood: Likelihood,
 }
 
-/// Default [`EngineConfig::encoder_cache_capacity`]: enough for every
-/// origin of a handful of concurrently-live races, small enough that a
-/// season-long soak stays bounded.
-pub const DEFAULT_ENCODER_CACHE_CAPACITY: usize = 1024;
-
-/// Runtime tuning for [`crate::engine::ForecastEngine`] — deliberately
-/// separate from [`RankNetConfig`] (model hyper-parameters): these knobs
-/// change scheduling and memory footprint, never a sampled value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EngineConfig {
-    /// Base seed of the engine's counter-derived RNG streams.
-    pub seed: u64,
-    /// Decoder worker threads; `None` picks the machine's default.
-    pub threads: Option<usize>,
-    /// Encoder cache capacity in `(race, origin)` entries, enforced by LRU
-    /// eviction; 0 disables caching entirely. Bounds resident encoder
-    /// states on long multi-race soaks.
-    pub encoder_cache_capacity: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            seed: 0,
-            threads: None,
-            encoder_cache_capacity: DEFAULT_ENCODER_CACHE_CAPACITY,
-        }
-    }
-}
-
 impl Default for RankNetConfig {
     fn default() -> Self {
         RankNetConfig {

@@ -21,7 +21,6 @@
 //!   injected fault) are replaced with the CurRank baseline and flagged,
 //!   so a serving engine returns a usable answer instead of panicking.
 
-use crate::config::EngineConfig;
 use crate::features::RaceContext;
 use crate::lifecycle::{ModelSlot, VersionedModel};
 use crate::rank_model::{CovariateFuture, EncoderState, ForecastSamples};
@@ -34,7 +33,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// One forecast of a batch: `race` indexes the context slice handed to
-/// [`ForecastEngine::forecast_batch`].
+/// [`ForecastEngine::forecast_batch_entries`].
 #[derive(Clone, Copy, Debug)]
 pub struct ForecastRequest {
     pub race: usize,
@@ -134,6 +133,11 @@ impl PhaseTimings {
     }
 }
 
+/// Encoder cache capacity of a new engine: enough for every origin of a
+/// handful of concurrently-live races, small enough that a season-long
+/// soak stays bounded. [`ForecastEngine::with_cache_capacity`] overrides it.
+const DEFAULT_ENCODER_CACHE_CAPACITY: usize = 1024;
+
 /// Maximum shard count of the encoder cache. The shard for a key is picked
 /// by hash, so concurrent forecasts of different `(race, origin)` pairs
 /// rarely contend on one lock.
@@ -141,7 +145,7 @@ const CACHE_SHARDS: usize = 8;
 
 /// Most trajectory rows one lock-step decode advances. A serving
 /// micro-batch — a few distinct 100-sample questions over a 33-car field —
-/// decodes in one fold; a long `forecast_batch` sweep decodes a few
+/// decodes in one fold; a long `forecast_batch_entries` sweep decodes a few
 /// requests at a time, so each step's state stays cache-sized and peak
 /// memory is one fold's, not the sweep's. Folding never changes a
 /// response (batched rows are independent), only time and memory.
@@ -348,7 +352,7 @@ impl ForecastEngine {
             slot,
             seed,
             threads: rpf_tensor::par::num_threads(),
-            cache: EncoderCache::new(crate::config::DEFAULT_ENCODER_CACHE_CAPACITY),
+            cache: EncoderCache::new(DEFAULT_ENCODER_CACHE_CAPACITY),
             tracer: Tracer::new(),
             span_encode: span_name("engine_encode"),
             span_covariates: span_name("engine_covariates"),
@@ -367,16 +371,6 @@ impl ForecastEngine {
             model_version_gauge,
             registry,
         }
-    }
-
-    /// Build an engine from an [`EngineConfig`].
-    pub fn with_config(model: impl Into<Arc<RankNet>>, cfg: &EngineConfig) -> ForecastEngine {
-        let mut engine = ForecastEngine::new(model, cfg.seed);
-        if let Some(t) = cfg.threads {
-            engine.threads = t.max(1);
-        }
-        engine.cache = EncoderCache::new(cfg.encoder_cache_capacity);
-        engine
     }
 
     /// The shared model slot — clone it to hot-swap versions from a
@@ -461,52 +455,13 @@ impl ForecastEngine {
         self.cache.len()
     }
 
-    /// Forecast a single race (race key 0). Panics on an invalid request —
-    /// the historical API; prefer [`ForecastEngine::try_forecast`].
-    pub fn forecast(
-        &self,
-        ctx: &RaceContext,
-        origin: usize,
-        horizon: usize,
-        n_samples: usize,
-    ) -> ForecastSamples {
-        self.forecast_keyed(0, ctx, origin, horizon, n_samples)
-    }
-
-    /// Validating [`ForecastEngine::forecast`]: returns a typed error for a
-    /// bad request and a degradation report alongside the samples.
-    pub fn try_forecast(
-        &self,
-        ctx: &RaceContext,
-        origin: usize,
-        horizon: usize,
-        n_samples: usize,
-    ) -> Result<EngineForecast, EngineError> {
-        self.try_forecast_keyed(0, ctx, origin, horizon, n_samples)
-    }
-
-    /// Forecast with an explicit race key. The key scopes both the encoder
-    /// cache and the RNG streams: calls with the same
+    /// Forecast one race at one origin: the convenience wrapper over the
+    /// pipeline of [`ForecastEngine::forecast_batch_entries`], for one
+    /// request whose context is passed directly. The race key scopes both
+    /// the encoder cache and the RNG streams: calls with the same
     /// `(race, origin)` reuse the cached encoder state and replay the same
     /// random draws (common random numbers across horizons and sample
-    /// counts), while distinct keys are independent. Panics on an invalid
-    /// request; prefer [`ForecastEngine::try_forecast_keyed`].
-    pub fn forecast_keyed(
-        &self,
-        race: usize,
-        ctx: &RaceContext,
-        origin: usize,
-        horizon: usize,
-        n_samples: usize,
-    ) -> ForecastSamples {
-        match self.try_forecast_keyed(race, ctx, origin, horizon, n_samples) {
-            Ok(out) => out.samples,
-            Err(e) => panic!("forecast_keyed: {e}"),
-        }
-    }
-
-    /// Validating [`ForecastEngine::forecast_keyed`]: a one-request run of
-    /// the engine's pipeline (see [`ForecastEngine::forecast_batch_entries`]).
+    /// counts), while distinct keys are independent.
     ///
     /// Degradation: any trajectory containing a non-finite value (crashed
     /// decoder worker, numerically broken weights, injected fault) is
@@ -530,7 +485,7 @@ impl ForecastEngine {
         };
         let vm = self.slot.load();
         // One request in, one result out.
-        self.run_pipeline(&vm, &[request], false, |_| Ok(ctx))
+        self.run_pipeline(&vm, &[request], |_| Ok(ctx))
             .swap_remove(0)
     }
 
@@ -582,47 +537,11 @@ impl ForecastEngine {
         groups
     }
 
-    /// Serve a batch of forecasts over several races. `requests[i].race`
-    /// indexes `contexts`; results come back in request order. Requests
-    /// sharing a `(race, origin)` pay the encoder once. Panics on an
-    /// invalid request; prefer [`ForecastEngine::try_forecast_batch`].
-    pub fn forecast_batch(
-        &self,
-        contexts: &[&RaceContext],
-        requests: &[ForecastRequest],
-    ) -> Vec<ForecastSamples> {
-        match self.try_forecast_batch(contexts, requests) {
-            Ok(out) => out.into_iter().map(|f| f.samples).collect(),
-            Err(e) => panic!("forecast_batch: {e}"),
-        }
-    }
-
-    /// Validating [`ForecastEngine::forecast_batch`]: the whole batch is
-    /// validated before any model work runs, so a bad request costs nothing
-    /// and cannot leave a partially-served batch. Identical requests are
-    /// each run (and counted) rather than coalesced.
-    pub fn try_forecast_batch(
-        &self,
-        contexts: &[&RaceContext],
-        requests: &[ForecastRequest],
-    ) -> Result<Vec<EngineForecast>, EngineError> {
-        for r in requests {
-            let checked = context_at(contexts, r.race)
-                .and_then(|ctx| validate_request(ctx, r.origin, r.horizon, r.n_samples));
-            if let Err(e) = checked {
-                self.rejected_requests.inc();
-                return Err(e);
-            }
-        }
-        let vm = self.slot.load();
-        self.run_pipeline(&vm, requests, false, |race| context_at(contexts, race))
-            .into_iter()
-            .collect()
-    }
-
-    /// The batch-entry API the serving layer dispatches on: per-request
-    /// outcomes (an invalid request becomes its own `Err` without failing
-    /// its neighbours), with identical requests — same
+    /// The engine's one validated batch call, which the serving layer
+    /// dispatches on. `requests[i].race` indexes `contexts`; results come
+    /// back in request order as per-request outcomes (an invalid request
+    /// becomes its own `Err` without failing its neighbours), with
+    /// identical requests — same
     /// `(race, origin, horizon, n_samples)` — coalesced onto a single model
     /// run. Coalescing is legal because a forecast is a pure function of
     /// request identity (the determinism contract): the cloned result is
@@ -642,13 +561,13 @@ impl ForecastEngine {
         requests: &[ForecastRequest],
     ) -> Vec<Result<EngineForecast, EngineError>> {
         let vm = self.slot.load();
-        self.run_pipeline(&vm, requests, true, |race| context_at(contexts, race))
+        self.run_pipeline(&vm, requests, |race| context_at(contexts, race))
     }
 
-    /// The engine's one request pipeline, behind every entry point:
+    /// The engine's one request pipeline, behind both entry points:
     ///
-    /// 1. **dedupe** — with `coalesce`, identical requests share the first
-    ///    one's run (counted in `coalesced_requests`);
+    /// 1. **dedupe** — identical requests share the first one's run
+    ///    (counted in `coalesced_requests`);
     /// 2. **validate** each distinct request — `ctx_of` resolves its race
     ///    to a context; an invalid request becomes its own `Err` and its
     ///    neighbours still run;
@@ -667,7 +586,6 @@ impl ForecastEngine {
         &self,
         vm: &VersionedModel,
         requests: &[ForecastRequest],
-        coalesce: bool,
         ctx_of: impl Fn(usize) -> Result<&'c RaceContext, EngineError>,
     ) -> Vec<Result<EngineForecast, EngineError>> {
         // Distinct requests in first-appearance order; duplicates point at
@@ -676,15 +594,13 @@ impl ForecastEngine {
         let mut slot_of: Vec<usize> = Vec::with_capacity(requests.len());
         let mut uniq: Vec<ForecastRequest> = Vec::with_capacity(requests.len());
         for r in requests {
-            if coalesce {
-                let key = (r.race, r.origin, r.horizon, r.n_samples);
-                if let Some(&u) = first_at.get(&key) {
-                    self.coalesced_requests.inc();
-                    slot_of.push(u);
-                    continue;
-                }
-                first_at.insert(key, uniq.len());
+            let key = (r.race, r.origin, r.horizon, r.n_samples);
+            if let Some(&u) = first_at.get(&key) {
+                self.coalesced_requests.inc();
+                slot_of.push(u);
+                continue;
             }
+            first_at.insert(key, uniq.len());
             slot_of.push(uniq.len());
             uniq.push(*r);
         }

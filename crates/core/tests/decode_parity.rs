@@ -311,7 +311,10 @@ fn engine_folded_batch_matches_solo_calls_bitwise() {
     let solo = ForecastEngine::new(&model, 9).with_threads(2);
     for (req, got) in requests.iter().take(3).zip(&out) {
         let ctx = if req.race == 0 { &r0 } else { &r1 };
-        let want = solo.forecast_keyed(req.race, ctx, req.origin, req.horizon, req.n_samples);
+        let want = solo
+            .try_forecast_keyed(req.race, ctx, req.origin, req.horizon, req.n_samples)
+            .expect("valid")
+            .samples;
         let got = got.as_ref().map(|f| bits(&f.samples)).unwrap_or_default();
         assert_eq!(
             got,

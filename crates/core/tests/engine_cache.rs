@@ -9,7 +9,7 @@ use ranknet_core::engine::{EngineError, ForecastEngine, ForecastRequest};
 use ranknet_core::features::{extract_sequences, RaceContext};
 use ranknet_core::rank_model::ForecastSamples;
 use ranknet_core::ranknet::{RankNet, RankNetVariant};
-use ranknet_core::{EngineConfig, RankNetConfig};
+use ranknet_core::RankNetConfig;
 use rpf_racesim::{simulate_race, Event, EventConfig};
 
 fn race_ctx(seed: u64) -> RaceContext {
@@ -44,7 +44,9 @@ fn cache_never_exceeds_capacity_and_counts_evictions() {
 
     // Ten distinct (race, origin) keys against a 3-deep cache.
     for i in 0..10 {
-        let _ = engine.forecast_keyed(0, &contexts[0], 50 + i, 1, 2);
+        engine
+            .try_forecast_keyed(0, &contexts[0], 50 + i, 1, 2)
+            .expect("valid");
     }
     assert!(
         engine.cache_len() <= cap,
@@ -67,20 +69,31 @@ fn eviction_and_recompute_replay_identical_bits() {
         .with_threads(1)
         .with_cache_capacity(2);
 
-    let first = engine.forecast_keyed(0, &contexts[0], 60, 2, 4);
+    let first = engine
+        .try_forecast_keyed(0, &contexts[0], 60, 2, 4)
+        .expect("valid")
+        .samples;
     // Flood the tiny cache until origin 60 must have been evicted.
     for i in 0..8 {
-        let _ = engine.forecast_keyed(0, &contexts[0], 70 + i, 1, 2);
+        engine
+            .try_forecast_keyed(0, &contexts[0], 70 + i, 1, 2)
+            .expect("valid");
     }
     assert!(engine.timings().cache_evictions > 0);
     // Recomputing the evicted encoder state must replay the exact draws:
     // the cache moves time, never bits.
-    let again = engine.forecast_keyed(0, &contexts[0], 60, 2, 4);
+    let again = engine
+        .try_forecast_keyed(0, &contexts[0], 60, 2, 4)
+        .expect("valid")
+        .samples;
     assert_eq!(bits(&first), bits(&again));
 
     // And an unbounded engine on the same seed agrees too.
     let unbounded = ForecastEngine::new(&model, 11).with_threads(1);
-    let reference = unbounded.forecast_keyed(0, &contexts[0], 60, 2, 4);
+    let reference = unbounded
+        .try_forecast_keyed(0, &contexts[0], 60, 2, 4)
+        .expect("valid")
+        .samples;
     assert_eq!(bits(&reference), bits(&again));
 }
 
@@ -97,7 +110,9 @@ fn multi_race_soak_keeps_cache_bounded() {
     for round in 0..3 {
         for origin in (40..90).step_by(7) {
             for (race, ctx) in contexts.iter().enumerate() {
-                let _ = engine.forecast_keyed(race, ctx, origin + round, 1, 2);
+                engine
+                    .try_forecast_keyed(race, ctx, origin + round, 1, 2)
+                    .expect("valid");
                 assert!(
                     engine.cache_len() <= cap,
                     "cache exceeded its cap mid-soak: {} > {cap}",
@@ -116,41 +131,28 @@ fn zero_capacity_disables_the_cache_without_changing_bits() {
     let uncached = ForecastEngine::new(&model, 17)
         .with_threads(1)
         .with_cache_capacity(0);
-    let a = uncached.forecast_keyed(1, &contexts[1], 55, 2, 3);
-    let b = uncached.forecast_keyed(1, &contexts[1], 55, 2, 3);
+    let a = uncached
+        .try_forecast_keyed(1, &contexts[1], 55, 2, 3)
+        .expect("valid")
+        .samples;
+    let b = uncached
+        .try_forecast_keyed(1, &contexts[1], 55, 2, 3)
+        .expect("valid")
+        .samples;
     assert_eq!(engine_len_zero(&uncached), 0);
     assert_eq!(uncached.timings().encoder_reuses, 0);
     assert_eq!(bits(&a), bits(&b));
 
     let cached = ForecastEngine::new(&model, 17).with_threads(1);
-    let c = cached.forecast_keyed(1, &contexts[1], 55, 2, 3);
+    let c = cached
+        .try_forecast_keyed(1, &contexts[1], 55, 2, 3)
+        .expect("valid")
+        .samples;
     assert_eq!(bits(&a), bits(&c));
 }
 
 fn engine_len_zero(engine: &ForecastEngine) -> usize {
     engine.cache_len()
-}
-
-#[test]
-fn engine_config_carries_cache_capacity() {
-    let (model, contexts) = tiny_model();
-    let cfg = EngineConfig {
-        seed: 11,
-        threads: Some(1),
-        encoder_cache_capacity: 2,
-    };
-    let engine = ForecastEngine::with_config(&model, &cfg);
-    for i in 0..6 {
-        let _ = engine.forecast_keyed(0, &contexts[0], 45 + i, 1, 2);
-    }
-    assert!(engine.cache_len() <= 2);
-    assert!(engine.timings().cache_evictions > 0);
-
-    // The configured engine agrees bit-for-bit with the builder form.
-    let manual = ForecastEngine::new(&model, 11).with_threads(1);
-    let a = engine.forecast_keyed(0, &contexts[0], 45, 1, 2);
-    let b = manual.forecast_keyed(0, &contexts[0], 45, 1, 2);
-    assert_eq!(bits(&a), bits(&b));
 }
 
 #[test]
@@ -202,6 +204,9 @@ fn batch_entries_coalesce_duplicates_and_isolate_errors() {
 
     // Batched and solo execution agree: seeds derive from request identity.
     let fresh = ForecastEngine::new(&model, 19).with_threads(1);
-    let solo = fresh.forecast_keyed(0, &contexts[0], 65, 2, 3);
+    let solo = fresh
+        .try_forecast_keyed(0, &contexts[0], 65, 2, 3)
+        .expect("valid")
+        .samples;
     assert_eq!(bits(&solo), bits(&first.samples));
 }

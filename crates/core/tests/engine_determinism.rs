@@ -92,8 +92,14 @@ fn engine_matches_seeded_path_reuses_encoder_and_counts_phases() {
 
     let seq_engine = ForecastEngine::new(&model, 5).with_threads(1);
     let par_engine = ForecastEngine::new(&model, 5).with_threads(4);
-    let a = seq_engine.forecast(&test, 90, 2, 8);
-    let b = par_engine.forecast(&test, 90, 2, 8);
+    let a = seq_engine
+        .try_forecast_keyed(0, &test, 90, 2, 8)
+        .expect("valid")
+        .samples;
+    let b = par_engine
+        .try_forecast_keyed(0, &test, 90, 2, 8)
+        .expect("valid")
+        .samples;
     assert_eq!(
         bits(&a),
         bits(&b),
@@ -102,7 +108,10 @@ fn engine_matches_seeded_path_reuses_encoder_and_counts_phases() {
 
     // Same (race, origin) again: the encoder state must come from cache and
     // the samples must replay (common random numbers).
-    let c = par_engine.forecast(&test, 90, 2, 8);
+    let c = par_engine
+        .try_forecast_keyed(0, &test, 90, 2, 8)
+        .expect("valid")
+        .samples;
     assert_eq!(bits(&b), bits(&c));
     let t = par_engine.timings();
     assert_eq!(t.calls, 2);
@@ -114,7 +123,10 @@ fn engine_matches_seeded_path_reuses_encoder_and_counts_phases() {
     );
 
     // A different origin is a cache miss with fresh, different draws.
-    let d = par_engine.forecast(&test, 91, 2, 8);
+    let d = par_engine
+        .try_forecast_keyed(0, &test, 91, 2, 8)
+        .expect("valid")
+        .samples;
     assert_ne!(bits(&c), bits(&d));
     assert_eq!(par_engine.timings().encoder_reuses, 1);
 }
@@ -130,10 +142,15 @@ fn engine_is_thread_invariant() {
 
     let want = ForecastEngine::new(&model, 5)
         .with_threads(1)
-        .forecast(&test, 85, 2, 8);
+        .try_forecast_keyed(0, &test, 85, 2, 8)
+        .expect("valid")
+        .samples;
     for threads in [2, 8] {
         let engine = ForecastEngine::new(&model, 5).with_threads(threads);
-        let got = engine.forecast(&test, 85, 2, 8);
+        let got = engine
+            .try_forecast_keyed(0, &test, 85, 2, 8)
+            .expect("valid")
+            .samples;
         assert_eq!(
             bits(&want),
             bits(&got),
@@ -170,19 +187,31 @@ fn engine_batch_matches_individual_calls() {
             n_samples: 5,
         },
     ];
-    let batch = engine.forecast_batch(&[&r0, &r1], &requests);
+    let batch: Vec<_> = engine
+        .forecast_batch_entries(&[&r0, &r1], &requests)
+        .into_iter()
+        .map(|r| r.expect("valid").samples)
+        .collect();
     assert_eq!(batch.len(), 3);
     assert_eq!(
         bits(&batch[0]),
         bits(&batch[2]),
         "identical requests must agree"
     );
-    assert_eq!(engine.timings().encoder_reuses, 1);
+    // The duplicate coalesces onto the first request's run, so it never
+    // reaches the encoder cache.
+    let t = engine.timings();
+    assert_eq!(t.coalesced_requests, 1);
+    assert_eq!(t.encoder_reuses, 0);
+    assert_eq!(t.calls, 2);
 
     // Batched and one-at-a-time execution agree: seeds derive from request
     // identity, not call order.
     let fresh = ForecastEngine::new(&model, 7).with_threads(2);
-    let solo = fresh.forecast_keyed(1, &r1, 75, 3, 4);
+    let solo = fresh
+        .try_forecast_keyed(1, &r1, 75, 3, 4)
+        .expect("valid")
+        .samples;
     assert_eq!(bits(&batch[1]), bits(&solo));
 }
 
@@ -213,11 +242,14 @@ fn long_batch_decodes_in_folds_bit_identical_to_individual_calls() {
 
     let batch = ForecastEngine::new(&model, 9)
         .with_threads(2)
-        .forecast_batch(&[&race], &requests);
+        .forecast_batch_entries(&[&race], &requests);
     for (r, got) in requests.iter().zip(&batch) {
+        let got = &got.as_ref().expect("valid").samples;
         let solo = ForecastEngine::new(&model, 9)
             .with_threads(1)
-            .forecast_keyed(0, &race, r.origin, r.horizon, r.n_samples);
+            .try_forecast_keyed(0, &race, r.origin, r.horizon, r.n_samples)
+            .expect("valid")
+            .samples;
         assert_eq!(bits(got), bits(&solo), "origin {} diverged", r.origin);
     }
 }

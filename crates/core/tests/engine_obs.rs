@@ -39,8 +39,8 @@ fn obs_snapshot_mirrors_the_phase_timings() {
     let (model, ctx) = tiny_model();
     let engine = ForecastEngine::new(&model, 7).with_threads(1);
 
-    let _ = engine.forecast(&ctx, 60, 2, 4);
-    let _ = engine.forecast(&ctx, 60, 2, 4); // same origin: encoder reuse
+    engine.try_forecast_keyed(0, &ctx, 60, 2, 4).expect("valid");
+    engine.try_forecast_keyed(0, &ctx, 60, 2, 4).expect("valid"); // same origin: encoder reuse
 
     let t = engine.timings();
     let snap = engine.obs_snapshot();
@@ -67,14 +67,14 @@ fn tracing_is_off_by_default_and_captures_phase_spans_when_enabled() {
     let (model, ctx) = tiny_model();
     let engine = ForecastEngine::new(&model, 7).with_threads(1);
 
-    let _ = engine.forecast(&ctx, 60, 1, 2);
+    engine.try_forecast_keyed(0, &ctx, 60, 1, 2).expect("valid");
     assert!(
         engine.tracer().totals().is_empty(),
         "no spans may be recorded while tracing is disabled"
     );
 
     engine.set_tracing(true);
-    let _ = engine.forecast(&ctx, 61, 1, 2);
+    engine.try_forecast_keyed(0, &ctx, 61, 1, 2).expect("valid");
     let snap = engine.obs_snapshot();
     let span = |name: &str| {
         snap.spans
@@ -100,7 +100,7 @@ fn reset_timings_clears_counters_and_spans_together() {
     let (model, ctx) = tiny_model();
     let engine = ForecastEngine::new(&model, 7).with_threads(1);
     engine.set_tracing(true);
-    let _ = engine.forecast(&ctx, 60, 1, 2);
+    engine.try_forecast_keyed(0, &ctx, 60, 1, 2).expect("valid");
 
     engine.reset_timings();
     let snap = engine.obs_snapshot();
@@ -115,7 +115,7 @@ fn reset_timings_clears_counters_and_spans_together() {
 fn engine_snapshot_merges_with_other_layers() {
     let (model, ctx) = tiny_model();
     let engine = ForecastEngine::new(&model, 7).with_threads(1);
-    let _ = engine.forecast(&ctx, 60, 1, 2);
+    engine.try_forecast_keyed(0, &ctx, 60, 1, 2).expect("valid");
 
     let other = {
         let registry = rpf_obs::Registry::new();

@@ -38,7 +38,7 @@ fn out_of_range_race_is_a_typed_error_not_a_panic() {
     let (model, ctx) = fixture();
     let engine = ForecastEngine::new(model, 1);
     let err = engine
-        .try_forecast_batch(
+        .forecast_batch_entries(
             &[ctx],
             &[ForecastRequest {
                 race: 3, // only one context supplied
@@ -47,6 +47,7 @@ fn out_of_range_race_is_a_typed_error_not_a_panic() {
                 n_samples: 2,
             }],
         )
+        .swap_remove(0)
         .expect_err("must reject");
     assert_eq!(
         err,
@@ -55,6 +56,7 @@ fn out_of_range_race_is_a_typed_error_not_a_panic() {
             n_contexts: 1
         }
     );
+    assert!(err.to_string().starts_with("race index 3 out of range"));
     assert_eq!(engine.timings().rejected_requests, 1);
 }
 
@@ -63,15 +65,15 @@ fn degenerate_request_parameters_are_rejected() {
     let (model, ctx) = fixture();
     let engine = ForecastEngine::new(model, 1);
     assert_eq!(
-        engine.try_forecast(ctx, 0, 2, 2).err(),
+        engine.try_forecast_keyed(0, ctx, 0, 2, 2).err(),
         Some(EngineError::BadOrigin { origin: 0 })
     );
     assert_eq!(
-        engine.try_forecast(ctx, 50, 0, 2).err(),
+        engine.try_forecast_keyed(0, ctx, 50, 0, 2).err(),
         Some(EngineError::BadHorizon)
     );
     assert_eq!(
-        engine.try_forecast(ctx, 50, 2, 0).err(),
+        engine.try_forecast_keyed(0, ctx, 50, 2, 0).err(),
         Some(EngineError::BadSampleCount)
     );
     assert_eq!(engine.timings().rejected_requests, 3);
@@ -88,14 +90,16 @@ fn non_finite_history_is_rejected_before_the_model_runs() {
     let mut bad = ctx.clone();
     bad.sequences[2].lap_time[7] = f32::NAN;
     let engine = ForecastEngine::new(model, 1);
-    let err = engine.try_forecast(&bad, 50, 2, 2).expect_err("reject");
+    let err = engine
+        .try_forecast_keyed(0, &bad, 50, 2, 2)
+        .expect_err("reject");
     assert_eq!(err, EngineError::NonFiniteFeature { car: 2, lap: 7 });
 
     // The same lap *after* the origin is not consumed and must not reject.
     let mut late = ctx.clone();
     let last = late.sequences[2].len() - 1;
     late.sequences[2].lap_time[last] = f32::NAN;
-    assert!(engine.try_forecast(&late, 10, 2, 2).is_ok());
+    assert!(engine.try_forecast_keyed(0, &late, 10, 2, 2).is_ok());
 }
 
 #[test]
@@ -106,49 +110,12 @@ fn non_finite_scenario_column_is_rejected() {
     let mut bad = ctx.clone();
     bad.sequences[4].track_wetness[12] = f32::NAN;
     let engine = ForecastEngine::new(model, 1);
-    let err = engine.try_forecast(&bad, 50, 2, 2).expect_err("reject");
+    let err = engine
+        .try_forecast_keyed(0, &bad, 50, 2, 2)
+        .expect_err("reject");
     assert_eq!(err, EngineError::NonFiniteFeature { car: 4, lap: 12 });
     assert_eq!(engine.timings().rejected_requests, 1);
     assert_eq!(engine.timings().calls, 0);
-}
-
-#[test]
-fn batch_is_validated_before_any_work_runs() {
-    let (model, ctx) = fixture();
-    let engine = ForecastEngine::new(model, 1);
-    // First request is fine, second is bad: nothing may be served.
-    let reqs = [
-        ForecastRequest {
-            race: 0,
-            origin: 50,
-            horizon: 2,
-            n_samples: 2,
-        },
-        ForecastRequest {
-            race: 0,
-            origin: 0,
-            horizon: 2,
-            n_samples: 2,
-        },
-    ];
-    assert!(engine.try_forecast_batch(&[ctx], &reqs).is_err());
-    assert_eq!(engine.timings().calls, 0);
-}
-
-#[test]
-#[should_panic(expected = "race index")]
-fn legacy_batch_api_panics_with_the_typed_message() {
-    let (model, ctx) = fixture();
-    let engine = ForecastEngine::new(model, 1);
-    let _ = engine.forecast_batch(
-        &[ctx],
-        &[ForecastRequest {
-            race: 9,
-            origin: 50,
-            horizon: 2,
-            n_samples: 1,
-        }],
-    );
 }
 
 proptest! {
@@ -166,7 +133,7 @@ proptest! {
     ) {
         let (model, ctx) = fixture();
         let engine = ForecastEngine::new(model, seed);
-        let out = engine.try_forecast(ctx, origin, horizon, n_samples);
+        let out = engine.try_forecast_keyed(0, ctx, origin, horizon, n_samples);
         let out = out.expect("valid request must be served");
         prop_assert!(!out.degraded, "healthy model must not degrade");
         let hi = ctx.field_size as f32 + 0.5;

@@ -47,14 +47,14 @@ fn poisoned_decoder_trajectory_degrades_to_cur_rank() {
     fault::clear();
     let engine = ForecastEngine::new(&model, 7);
     let healthy = engine
-        .try_forecast(&ctx, ORIGIN, HORIZON, N_SAMPLES)
+        .try_forecast_keyed(0, &ctx, ORIGIN, HORIZON, N_SAMPLES)
         .expect("baseline forecast");
     assert!(!healthy.degraded, "baseline must be healthy");
 
     // Poison global trajectory row 1: active-car slot 0, sample 1.
     fault::install(FaultPlan::new().poison_decoder_row(1));
     let engine = ForecastEngine::new(&model, 7);
-    let faulty = engine.try_forecast(&ctx, ORIGIN, HORIZON, N_SAMPLES);
+    let faulty = engine.try_forecast_keyed(0, &ctx, ORIGIN, HORIZON, N_SAMPLES);
     fault::clear();
     let faulty = faulty.expect("a poisoned trajectory must still be served");
 

@@ -44,6 +44,8 @@ pub struct HttpClient {
     stream: TcpStream,
     /// Bytes read past the previous response (keep-alive leftovers).
     buf: Vec<u8>,
+    addr: SocketAddr,
+    timeout: Duration,
 }
 
 impl HttpClient {
@@ -55,19 +57,43 @@ impl HttpClient {
         Ok(HttpClient {
             stream,
             buf: Vec::new(),
+            addr,
+            timeout,
         })
     }
 
     /// `GET path` and read the full response.
     pub fn get(&mut self, path: &str) -> std::io::Result<WireResponse> {
-        self.send_request("GET", path, None)?;
-        self.read_response()
+        self.round_trip("GET", path, None)
     }
 
     /// `POST path` with a JSON body and read the full response.
     pub fn post_json(&mut self, path: &str, body: &str) -> std::io::Result<WireResponse> {
-        self.send_request("POST", path, Some(body))?;
-        self.read_response()
+        self.round_trip("POST", path, Some(body))
+    }
+
+    /// Send one request and read its response. When the server had closed
+    /// the connection before any response byte arrived — typically a
+    /// keep-alive connection its read timeout expired — reconnect to the
+    /// same address and resend once. Resending is safe: a forecast is a
+    /// pure function of the request.
+    fn round_trip(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+    ) -> std::io::Result<WireResponse> {
+        let first = self
+            .send_request(method, path, body)
+            .and_then(|()| self.read_response());
+        match first {
+            Err(e) if self.buf.is_empty() && closed_by_peer(&e) => {
+                *self = HttpClient::connect(self.addr, self.timeout)?;
+                self.send_request(method, path, body)?;
+                self.read_response()
+            }
+            other => other,
+        }
     }
 
     /// Write one request head (+ optional body) without reading anything.
@@ -157,6 +183,13 @@ impl HttpClient {
     pub fn stream(&mut self) -> &mut TcpStream {
         &mut self.stream
     }
+}
+
+/// Did the peer close the connection (EOF, reset, or a write into a
+/// closed socket)?
+fn closed_by_peer(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind::{BrokenPipe, ConnectionReset, UnexpectedEof};
+    matches!(e.kind(), UnexpectedEof | ConnectionReset | BrokenPipe)
 }
 
 /// One-line summary of a response for demos: `200 OK (123 bytes)`.

@@ -13,6 +13,7 @@
 //! |----------------------------------------|--------|
 //! | forecast served (incl. fallback)       | 200    |
 //! | malformed HTTP, JSON, or engine reject | 400    |
+//! | `n_samples`/`horizon` over their limit | 400    |
 //! | unknown path / unknown race stream     | 404    |
 //! | wrong method on a known path           | 405    |
 //! | read timeout mid-request (conn.rs)     | 408    |
@@ -106,10 +107,22 @@ fn metrics<S: Submitter>(req: &HttpRequest, ctx: &GatewayCtx<'_, S>) -> Response
 // Wire schema: forecast request body
 // ---------------------------------------------------------------------------
 
+/// Most Monte-Carlo samples one wire request may ask for: 100× the
+/// paper's 100 samples per car. The engine allocates `cars × n_samples`
+/// trajectory rows, and a failed allocation aborts the process, which no
+/// `catch_unwind` contains; so an oversized request is refused at parse.
+pub const MAX_WIRE_SAMPLES: usize = 10_000;
+
+/// Longest forecast horizon one wire request may ask for, in laps: the
+/// Indy500's 200, the longest race in the dataset.
+pub const MAX_WIRE_HORIZON: usize = 200;
+
 /// Parse a `POST /forecast` body into a typed [`ServeRequest`].
 ///
 /// Numeric fields: `race`, `origin`, `horizon`, `n_samples` (required);
 /// an optional deadline as `deadline_ns` (exact) or `deadline_ms`.
+/// `n_samples` over [`MAX_WIRE_SAMPLES`] and `horizon` over
+/// [`MAX_WIRE_HORIZON`] are rejected.
 pub fn parse_forecast_body(body: &[u8]) -> Result<ServeRequest, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not utf-8".to_string())?;
     let doc = json::parse(text).map_err(|e| format!("invalid json: {e}"))?;
@@ -125,6 +138,12 @@ pub fn parse_forecast_body(body: &[u8]) -> Result<ServeRequest, String> {
         field("horizon")?,
         field("n_samples")?,
     );
+    if req.n_samples > MAX_WIRE_SAMPLES {
+        return Err(format!("n_samples over the limit of {MAX_WIRE_SAMPLES}"));
+    }
+    if req.horizon > MAX_WIRE_HORIZON {
+        return Err(format!("horizon over the limit of {MAX_WIRE_HORIZON}"));
+    }
     if let Some(ns) = doc.get("deadline_ns") {
         let ns = ns
             .as_u64()
@@ -427,6 +446,24 @@ mod tests {
             parse_forecast_body(b"{\"race\":-1,\"origin\":5,\"horizon\":1,\"n_samples\":1}")
                 .is_err()
         );
+    }
+
+    #[test]
+    fn forecast_body_bounds_samples_and_horizon() {
+        let body = |horizon: usize, n_samples: usize| {
+            render_forecast_body(&ServeRequest::new(0, 50, horizon, n_samples))
+        };
+        let at_limits = ServeRequest::new(0, 50, MAX_WIRE_HORIZON, MAX_WIRE_SAMPLES);
+        assert_eq!(
+            parse_forecast_body(body(MAX_WIRE_HORIZON, MAX_WIRE_SAMPLES).as_bytes()),
+            Ok(at_limits)
+        );
+        assert!(parse_forecast_body(body(1, MAX_WIRE_SAMPLES + 1).as_bytes()).is_err());
+        assert!(parse_forecast_body(body(MAX_WIRE_HORIZON + 1, 1).as_bytes()).is_err());
+        assert!(parse_forecast_body(
+            b"{\"race\":0,\"origin\":5,\"horizon\":1,\"n_samples\":4000000000}"
+        )
+        .is_err());
     }
 
     #[test]

@@ -10,15 +10,22 @@
 //!   the queue capacity and a Retry-After, with exact accounting;
 //! - shutdown drain: requests accepted before shutdown are answered even
 //!   when the backend is slow — accepted-implies-answered extends to the
-//!   wire.
+//!   wire;
+//! - expired keep-alive: a client whose idle connection the read timeout
+//!   closed reconnects and resends instead of failing;
+//! - oversized request: a forecast asking for more samples or a longer
+//!   horizon than the wire allows gets a 400 before it reaches the engine,
+//!   and the gateway keeps serving.
 
 mod common;
 
 use common::{
-    fast_gateway_cfg, read_http_head, read_sse_frame, sse_fields, valid_body, EchoBackend,
-    RejectAll, SlowBackend, SLOW_DELAY_MS,
+    fast_gateway_cfg, read_http_head, read_sse_frame, roomy_serve_cfg, sse_fields, valid_body,
+    with_stack, EchoBackend, RejectAll, SlowBackend, SLOW_DELAY_MS,
 };
+use rpf_gateway::routes::{render_forecast_body, MAX_WIRE_HORIZON, MAX_WIRE_SAMPLES};
 use rpf_gateway::{serve_http, GatewayConfig, HttpClient, LapBus, LapUpdate};
+use rpf_serve::ServeRequest;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -230,4 +237,51 @@ fn shutdown_drains_accepted_requests_even_with_a_slow_backend() {
         );
     }
     SLOW_DELAY_MS.store(50, Ordering::Relaxed);
+}
+
+#[test]
+fn expired_keepalive_connection_is_reopened_and_the_request_resent() {
+    let bus = LapBus::new();
+    let cfg = GatewayConfig {
+        read_timeout: Duration::from_millis(100),
+        ..fast_gateway_cfg()
+    };
+    serve_http(EchoBackend, 1, &bus, &cfg, None, |gw| {
+        let mut client = HttpClient::connect(gw.addr(), Duration::from_secs(3)).expect("connect");
+        let first = client.post_json("/forecast", &valid_body()).expect("post");
+        assert_eq!(first.status, 200, "{}", first.body_str());
+        // Outlast the read timeout: the gateway closes the idle keep-alive
+        // connection, and the next request must still be answered.
+        std::thread::sleep(Duration::from_millis(400));
+        let second = client
+            .post_json("/forecast", &valid_body())
+            .expect("resent on a fresh connection");
+        assert_eq!(second.status, 200, "{}", second.body_str());
+        wait_for(|| gw.metrics().conns_accepted.value(), 2, "conns_accepted");
+    })
+    .expect("gateway runs");
+}
+
+#[test]
+fn oversized_forecast_request_is_rejected_and_the_gateway_keeps_serving() {
+    let bus = LapBus::new();
+    with_stack(&roomy_serve_cfg(), &fast_gateway_cfg(), &bus, |gw| {
+        let mut client = HttpClient::connect(gw.addr(), Duration::from_secs(10)).expect("connect");
+        for oversized in [
+            "{\"race\":0,\"origin\":50,\"horizon\":2,\"n_samples\":4000000000}".to_string(),
+            render_forecast_body(&ServeRequest::new(0, 50, 2, MAX_WIRE_SAMPLES + 1)),
+            render_forecast_body(&ServeRequest::new(0, 50, MAX_WIRE_HORIZON + 1, 2)),
+        ] {
+            let resp = client.post_json("/forecast", &oversized).expect("post");
+            assert_eq!(resp.status, 400, "{oversized}: {}", resp.body_str());
+            assert!(
+                resp.body_str().contains("bad_request"),
+                "{}",
+                resp.body_str()
+            );
+        }
+        let resp = client.post_json("/forecast", &valid_body()).expect("post");
+        assert_eq!(resp.status, 200, "{}", resp.body_str());
+        assert_eq!(gw.metrics().status_count(400), 3);
+    });
 }

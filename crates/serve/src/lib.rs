@@ -52,6 +52,7 @@ pub mod lifecycle;
 pub mod loadgen;
 pub(crate) mod mailbox;
 pub mod metrics;
+pub(crate) mod policy;
 pub mod replay;
 pub mod router;
 pub mod server;

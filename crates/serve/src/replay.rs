@@ -2,9 +2,10 @@
 //!
 //! Wall-clock latency histograms can never be golden-tested — the numbers
 //! move with the machine. This module replays a scripted arrival schedule
-//! through the *same* admission, micro-batching and deadline policy as the
-//! threaded scheduler (`server.rs`), but on a virtual nanosecond clock with
-//! a fixed service-time model and a single virtual worker. Every counter in
+//! through the threaded scheduler's own batching and deadline policy
+//! (`policy.rs`, called by `server.rs` too) and the same bounded
+//! admission, but on a virtual nanosecond clock with a fixed service-time
+//! model and a single virtual worker. Every counter in
 //! the resulting [`MetricsSnapshot`] — latency buckets, queue-depth
 //! high-water mark, rejection and fallback tallies — is then an exact,
 //! machine-independent function of the script, which is what the checked-in
@@ -16,7 +17,8 @@
 
 use crate::config::ServeConfig;
 use crate::metrics::{MetricsSnapshot, ResponseKind, ServeMetrics};
-use crate::server::{deadline_expired, ServeRequest};
+use crate::policy::{self, deadline_expired, Step};
+use crate::server::ServeRequest;
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -86,7 +88,6 @@ fn replay_core(
 ) -> ReplayOutcome {
     let cfg = cfg.normalized();
     let metrics = ServeMetrics::new();
-    let max_delay_ns = cfg.max_delay.as_nanos() as u64;
 
     let mut arrivals: Vec<(u64, ServeRequest)> = schedule.to_vec();
     arrivals.sort_by_key(|(t, _)| *t); // stable: equal times keep script order
@@ -96,35 +97,34 @@ fn replay_core(
     let mut queue: VecDeque<(u64, ServeRequest)> = VecDeque::new();
     let mut next = 0usize; // index of the next un-ingested arrival
     let mut next_event = 0usize; // index of the next unapplied event
+    let mut now = 0u64; // instant of the last arrival, hold expiry or dispatch
     let mut t_free = 0u64; // virtual worker is idle from this instant
     let mut latencies: Vec<u64> = Vec::with_capacity(arrivals.len());
     let mut t_end = arrivals.last().map_or(0, |(t, _)| *t);
 
     loop {
+        // The worker consults the scheduler's own policy at the first
+        // instant it is free; "closed" is the exhausted script, exactly
+        // as closed admission is for the threaded worker.
+        let at = now.max(t_free);
+        let waited = queue.front().map_or(0, |&(arrive, _)| at - arrive);
+        let step = policy::next_step(
+            &cfg,
+            queue.len(),
+            Duration::from_nanos(waited),
+            next >= arrivals.len(),
+        );
+        let act_at = match step {
+            Step::Dispatch(_) => Some(at),
+            Step::Wait(hold) => Some(at + hold.as_nanos() as u64),
+            Step::Idle | Step::Shutdown => None,
+        };
         let next_arrival = arrivals.get(next).map(|(t, _)| *t);
-        let dispatch_at = queue.front().map(|&(oldest, _)| {
-            // A batch cannot dispatch before its newest member arrived —
-            // `newest` floors every arm so the virtual clock never serves
-            // a request that is still in flight.
-            let k = queue.len().min(cfg.max_batch);
-            let newest = queue[k - 1].0;
-            let gated = if queue.len() >= cfg.max_batch || next >= arrivals.len() {
-                newest // ready now; the worker just has to be free
-            } else {
-                (oldest + max_delay_ns).max(newest) // hold open for company
-            };
-            gated.max(t_free)
-        });
 
-        // Lifecycle events apply ahead of any arrival/dispatch at the
-        // same instant (and unconditionally once the trace is drained).
+        // Lifecycle events apply ahead of any arrival or worker action at
+        // the same instant (and unconditionally once the trace is drained).
         if let Some(&(te, ev)) = lifecycle.get(next_event) {
-            let horizon = match (next_arrival, dispatch_at) {
-                (Some(ta), Some(tb)) => Some(ta.min(tb)),
-                (Some(ta), None) => Some(ta),
-                (None, Some(tb)) => Some(tb),
-                (None, None) => None,
-            };
+            let horizon = next_arrival.into_iter().chain(act_at).min();
             if horizon.is_none_or(|h| te <= h) {
                 apply_event(&metrics, ev);
                 next_event += 1;
@@ -132,24 +132,18 @@ fn replay_core(
             }
         }
 
-        match (next_arrival, dispatch_at) {
-            (None, None) => break,
-            (Some(ta), Some(tb)) if ta <= tb => {
-                ingest(&cfg, &metrics, &mut queue, &mut next, &arrivals)
-            }
-            (Some(_), None) => ingest(&cfg, &metrics, &mut queue, &mut next, &arrivals),
-            (_, Some(tb)) => {
-                dispatch(
-                    &cfg,
-                    &metrics,
-                    &mut queue,
-                    svc,
-                    tb,
-                    &mut t_free,
-                    &mut latencies,
-                );
+        if let Some(ta) = next_arrival.filter(|&ta| act_at.is_none_or(|tw| ta <= tw)) {
+            ingest(&cfg, &metrics, &mut queue, &mut next, &arrivals);
+            now = ta;
+        } else if let Some(tw) = act_at {
+            if let Step::Dispatch(n) = step {
+                t_free = dispatch(&metrics, &mut queue, n, svc, at, &mut latencies);
                 t_end = t_end.max(t_free);
             }
+            // Otherwise the hold expired with no arrival: decide again.
+            now = tw;
+        } else {
+            break;
         }
     }
     ReplayOutcome {
@@ -276,28 +270,26 @@ fn ingest(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Serve the `n` oldest queued requests as one batch starting at `start`;
+/// returns the instant the batch completes.
 fn dispatch(
-    cfg: &ServeConfig,
     metrics: &ServeMetrics,
     queue: &mut VecDeque<(u64, ServeRequest)>,
+    n: usize,
     svc: &ServiceModel,
     start: u64,
-    t_free: &mut u64,
     latencies: &mut Vec<u64>,
-) {
-    let k = queue.len().min(cfg.max_batch);
-    let batch: Vec<(u64, ServeRequest)> = queue.drain(..k).collect();
-    metrics.record_batch(k as u64);
+) -> u64 {
+    metrics.record_batch(n as u64);
 
-    let mut live: Vec<u64> = Vec::with_capacity(k);
-    for (arrive, req) in &batch {
+    let mut live: Vec<u64> = Vec::with_capacity(n);
+    for (arrive, req) in queue.drain(..n) {
         let waited = Duration::from_nanos(start - arrive);
         if deadline_expired(waited, req.deadline) {
             metrics.record_response(ResponseKind::FallbackDeadline, start - arrive);
             latencies.push(start - arrive);
         } else {
-            live.push(*arrive);
+            live.push(arrive);
         }
     }
     let completion = if live.is_empty() {
@@ -309,7 +301,7 @@ fn dispatch(
         metrics.record_response(ResponseKind::Ok, completion - arrive);
         latencies.push(completion - arrive);
     }
-    *t_free = completion;
+    completion
 }
 
 #[cfg(test)]

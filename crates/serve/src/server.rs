@@ -44,6 +44,7 @@ use crate::config::ServeConfig;
 use crate::lifecycle::LifecycleController;
 use crate::mailbox::{Entry, Mailbox, Pending};
 use crate::metrics::{MetricsSnapshot, ResponseKind, ServeMetrics};
+use crate::policy::{self, deadline_expired, Step};
 use ranknet_core::engine::{
     currank_forecast, EngineError, EngineForecast, ForecastEngine, ForecastRequest,
 };
@@ -220,18 +221,13 @@ impl ServeClient<'_, '_> {
     }
 }
 
-/// Has `entry` outlived its deadline after waiting `waited`? Shared by the
-/// threaded scheduler and the deterministic replay so the two agree.
-pub(crate) fn deadline_expired(waited: Duration, deadline: Option<Duration>) -> bool {
-    deadline.is_some_and(|d| waited >= d)
-}
-
 /// Run a serving scope: spawn `cfg.workers` scheduler threads over
 /// `engine`, hand the body a [`ServeClient`], and on return close
 /// admission, drain the queue, join the workers, and report the final
 /// metrics. A panicking body closes admission too, so the panic reaches
-/// the caller once the workers have drained. Requests reference `contexts` by index, exactly like
-/// [`ForecastEngine::try_forecast_batch`].
+/// the caller once the workers have drained. Requests reference
+/// `contexts` by index, exactly like
+/// [`ForecastEngine::forecast_batch_entries`].
 pub fn serve<R>(
     engine: &ForecastEngine,
     contexts: &[&RaceContext],
@@ -319,54 +315,44 @@ pub(crate) fn worker_loop(shared: &Shared<'_>) {
 }
 
 /// Block until a batch can be formed (or shutdown empties the world).
-/// Dynamic micro-batching: once at least one request is queued, hold the
-/// batch open until it reaches `max_batch` or the oldest request has
-/// waited `max_delay`, then drain up to `max_batch` entries. During
-/// shutdown the hold is skipped so the queue drains immediately.
+/// Every decision — idle, hold the under-full batch, dispatch how many,
+/// drain on shutdown — is [`policy::next_step`] on the queue seen under
+/// the mailbox lock; this loop only sleeps on the condvar as told.
 fn next_batch(shared: &Shared<'_>) -> NextStep {
     let mut q = shared.mailbox.lock();
     #[cfg(feature = "fault-inject")]
     crate::fault::maybe_poison_queue_lock(shared.shard);
-    'outer: loop {
-        while q.entries.is_empty() {
-            if q.shutdown {
-                return NextStep::Shutdown;
-            }
-            q = shared
+    loop {
+        let waited = q
+            .entries
+            .front()
+            .map_or(Duration::ZERO, |e| e.enqueued.elapsed());
+        q = match policy::next_step(&shared.cfg, q.entries.len(), waited, q.shutdown) {
+            Step::Shutdown => return NextStep::Shutdown,
+            Step::Idle => shared
                 .mailbox
                 .wakeup
                 .wait(q)
-                .unwrap_or_else(|p| p.into_inner());
-        }
-        while q.entries.len() < shared.cfg.max_batch && !q.shutdown {
-            let oldest = match q.entries.front() {
-                Some(e) => e.enqueued,
-                None => continue 'outer,
-            };
-            let waited = oldest.elapsed();
-            if waited >= shared.cfg.max_delay {
-                break;
+                .unwrap_or_else(|p| p.into_inner()),
+            Step::Wait(hold) => {
+                shared
+                    .mailbox
+                    .wakeup
+                    .wait_timeout(q, hold)
+                    .unwrap_or_else(|p| p.into_inner())
+                    .0
             }
-            q = shared
-                .mailbox
-                .wakeup
-                .wait_timeout(q, shared.cfg.max_delay - waited)
-                .unwrap_or_else(|p| p.into_inner())
-                .0;
-            if q.entries.is_empty() {
-                // A sibling worker drained the queue while we waited.
-                continue 'outer;
+            Step::Dispatch(n) => {
+                #[cfg(feature = "fault-inject")]
+                {
+                    let ids: Vec<u64> = q.entries.iter().take(n).map(|e| e.id).collect();
+                    if crate::fault::should_kill_worker(shared.shard, &ids) {
+                        return NextStep::Kill;
+                    }
+                }
+                return NextStep::Batch(q.entries.drain(..n).collect());
             }
-        }
-        let n = q.entries.len().min(shared.cfg.max_batch);
-        #[cfg(feature = "fault-inject")]
-        {
-            let ids: Vec<u64> = q.entries.iter().take(n).map(|e| e.id).collect();
-            if crate::fault::should_kill_worker(shared.shard, &ids) {
-                return NextStep::Kill;
-            }
-        }
-        return NextStep::Batch(q.entries.drain(..n).collect());
+        };
     }
 }
 
@@ -429,25 +415,14 @@ fn serve_batch(shared: &Shared<'_>, batch: Vec<Entry>) {
             // A panic mid-batch: contain it, then retry one request at a
             // time so only the poisoned request degrades.
             shared.metrics.record_worker_panic();
-            for e in live {
+            for (e, req) in live.into_iter().zip(&requests) {
                 let single = catch_unwind(AssertUnwindSafe(|| {
                     #[cfg(feature = "fault-inject")]
                     crate::fault::maybe_panic_request(e.id);
-                    let req = &e.req;
-                    if req.race >= shared.contexts.len() {
-                        Err(EngineError::RaceOutOfRange {
-                            race: req.race,
-                            n_contexts: shared.contexts.len(),
-                        })
-                    } else {
-                        shared.engine.try_forecast_keyed(
-                            req.race,
-                            shared.contexts[req.race],
-                            req.origin,
-                            req.horizon,
-                            req.n_samples,
-                        )
-                    }
+                    shared
+                        .engine
+                        .forecast_batch_entries(shared.contexts, std::slice::from_ref(req))
+                        .swap_remove(0)
                 }));
                 match single {
                     Ok(res) => deliver_engine_result(shared, e, res, 1),

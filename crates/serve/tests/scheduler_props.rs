@@ -2,13 +2,16 @@
 //! arbitrary request lists (valid and invalid mixed), batch sizes and
 //! worker counts, every submitted request gets exactly one response, and
 //! every model response is bitwise equal to the unbatched direct call.
+//! The virtual-clock replay, which runs the scheduler's own batching
+//! policy, must keep the same books on arbitrary arrival scripts and never
+//! serve a request before it arrived.
 
 mod common;
 
 use common::{assert_parity, fixture, ENGINE_SEED};
 use proptest::prelude::*;
 use ranknet_core::engine::ForecastEngine;
-use rpf_serve::{serve, ServeConfig, ServeRequest};
+use rpf_serve::{replay_sharded, serve, ServeConfig, ServeRequest, ServiceModel};
 use std::collections::HashSet;
 use std::time::Duration;
 
@@ -76,5 +79,57 @@ proptest! {
         for (req, outcome) in &outcomes {
             assert_parity(req, outcome);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn replay_conserves_requests_and_never_serves_before_arrival(
+        // (gap to the previous arrival, race, origin) per request.
+        script in prop::collection::vec((0u64..3_000, 0usize..4, 30usize..60), 1..40),
+        max_batch in 1usize..8,
+        delay_ns in 0u64..5_000,
+        queue_capacity in 1usize..12,
+        batch_overhead_ns in 0u64..500,
+        per_request_ns in 1u64..300,
+    ) {
+        let cfg = ServeConfig {
+            workers: 1,
+            max_batch,
+            max_delay: Duration::from_nanos(delay_ns),
+            queue_capacity,
+        };
+        let svc = ServiceModel { batch_overhead_ns, per_request_ns };
+        let mut t = 0u64;
+        let schedule: Vec<(u64, ServeRequest)> = script
+            .iter()
+            .map(|&(gap, race, origin)| {
+                t += gap;
+                (t, ServeRequest::new(race, origin, 2, 4))
+            })
+            .collect();
+
+        let out = replay_sharded(&cfg, 1, &schedule, &svc);
+        let m = out.merged();
+        prop_assert_eq!(m.submitted, schedule.len() as u64);
+        prop_assert_eq!(m.submitted, m.accepted + m.rejected_queue_full);
+        prop_assert_eq!(m.completed, m.accepted);
+        prop_assert_eq!(m.ok_responses, m.completed, "no deadlines, no fallbacks");
+        prop_assert_eq!(out.latencies_ns.len() as u64, m.completed);
+        prop_assert!(m.batched_requests <= m.batches * max_batch as u64);
+        // A response cannot complete sooner than one batch serving one
+        // request after its arrival; a batch dispatched before one of its
+        // members arrived would break this.
+        let floor = batch_overhead_ns + per_request_ns;
+        for &lat in &out.latencies_ns {
+            prop_assert!(lat >= floor, "latency {} below the service floor {}", lat, floor);
+        }
+
+        let again = replay_sharded(&cfg, 1, &schedule, &svc);
+        prop_assert_eq!(&again.per_shard, &out.per_shard);
+        prop_assert_eq!(&again.latencies_ns, &out.latencies_ns);
+        prop_assert_eq!(again.makespan_ns, out.makespan_ns);
     }
 }

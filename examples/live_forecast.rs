@@ -58,7 +58,7 @@ fn main() {
         // A live loop can't afford a panic mid-race: the validating API
         // returns a typed error for a bad request, and flags trajectories
         // that degraded to the CurRank fallback instead of failing.
-        let forecast = match engine.try_forecast(&live, origin, 2, 20) {
+        let forecast = match engine.try_forecast_keyed(0, &live, origin, 2, 20) {
             Ok(f) => f,
             Err(e) => {
                 println!("  {origin:>5} request rejected: {e}");

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo CI gate: formatting, lints, and the full test suite.
 #
-#   scripts/ci.sh            # fmt --check, clippy -D warnings, tests
+#   scripts/ci.sh            # fmt --check, clippy -D warnings, tests, benchmark smoke
 #
 # Runs offline: all external crates resolve to the local stubs under
 # crates/vendor/ via [patch.crates-io] (see CHANGES.md for why).
@@ -44,7 +44,7 @@ cargo test -q -p rpf-serve --test shard_scaling_gate --release --offline
 echo "== capacity planner round-trip (perfmodel plan vs sharded replay) =="
 cargo test -q -p rpf-perfmodel --test capacity --offline
 
-echo "== serving conservation properties =="
+echo "== serving conservation properties (threaded scheduler + virtual-clock replay) =="
 cargo test -q -p rpf-serve --test scheduler_props --offline
 
 echo "== serving metrics golden (virtual-clock replay, incl. swap trace) =="
@@ -65,7 +65,7 @@ cargo test -q -p rpf-gateway --test wire_golden --offline
 echo "== gateway response equivalence (JSON over TCP == direct engine, bitwise) =="
 cargo test -q -p rpf-gateway --test response_equivalence --offline
 
-echo "== gateway fault matrix (slow-loris, disconnect, 429 burst, drain) =="
+echo "== gateway fault matrix (slow-loris, disconnect, 429 burst, drain, keep-alive resend, oversized request) =="
 cargo test -q -p rpf-gateway --test gateway_faults --offline
 
 echo "== gateway SSE streams (live + replay + terminal event) =="
@@ -106,6 +106,13 @@ cargo test -q -p rpf-serve --test scenario_mix --offline
 
 echo "== cross-scenario bench smoke (4 models x 4 families end to end, release) =="
 cargo test -q -p rpf-bench --test scenario_smoke --release --offline
+
+echo "== benchmark builds and runs (perfbench, locked lockfile, every workload 2 s traced, release) =="
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+for workload in live_wire race_replay train_epochs; do
+  cargo run -q --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 2 --trace 1
+done
 
 echo "== cargo test (workspace) =="
 cargo test -q --workspace --offline
