@@ -223,8 +223,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
+                        // Exactly four hex digits: `from_str_radix` alone
+                        // would also take a sign such as `+041`.
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
+                            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                             .and_then(|h| std::str::from_utf8(h).ok())
                             .ok_or(err(*pos, "bad \\u escape"))?;
                         let code = u32::from_str_radix(hex, 16)
@@ -268,6 +271,10 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
     if *pos == digits_start {
         return Err(err(start, "expected number"));
+    }
+    // RFC 8259 §6: no leading zeros (`0` and `0.5` are fine, `01` is not).
+    if bytes[digits_start] == b'0' && *pos - digits_start > 1 {
+        return Err(err(start, "leading zero"));
     }
     if bytes.get(*pos) == Some(&b'.') {
         *pos += 1;
@@ -346,10 +353,28 @@ mod tests {
     #[test]
     fn rejects_malformed_documents() {
         for doc in [
-            "{", "[1,", "{\"a\"}", "{\"a\":}", "01e", "\"\\x\"", "1 2", "nul", "[1]]",
+            "{",
+            "[1,",
+            "{\"a\"}",
+            "{\"a\":}",
+            "01e",
+            "\"\\x\"",
+            "1 2",
+            "nul",
+            "[1]]",
+            "\"\\u+041\"",
+            "01",
+            "-01",
         ] {
             assert!(parse(doc).is_err(), "accepted {doc:?}");
         }
+        for doc in ["0", "-0", "0.5", "\"\\u0041\""] {
+            assert!(parse(doc).is_ok(), "rejected {doc:?}");
+        }
+        assert_eq!(
+            parse("\"\\u0041\"").ok().as_ref().and_then(Json::as_str),
+            Some("A")
+        );
     }
 
     #[test]

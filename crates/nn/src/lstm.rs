@@ -2,8 +2,8 @@
 //!
 //! The paper (§IV-J) identifies the cell's kernels — MatMul, Mul, Add,
 //! Sigmoid, Tanh — and profiles them; this implementation produces exactly
-//! those kernels on the tape, so the `rpf_tensor::counters` measurements
-//! used for Fig 11/12 reflect the same operator mix.
+//! those kernels on the tape, so the `rpf_obs::ops` profile of a training
+//! run records the same operator mix.
 
 use crate::init::xavier_uniform;
 use crate::params::{Binding, ParamId, ParamStore};

@@ -1,12 +1,12 @@
 //! Operator-level profiling: time, call and FLOP attribution per kernel
 //! class, reproducing the paper's operator-breakdown table from real runs.
 //!
-//! The tensor crate's kernels call [`record`] (via thin forwarding shims
-//! in `rpf_tensor::counters`) with a class, work estimates and the start
-//! instant they already took for their own counters. Profiling is **off by
-//! default**: the disabled path is a single relaxed load and a branch, and
-//! the bench gate in `rpf-bench` pins that the no-op path adds <1% to the
-//! decode benchmark.
+//! Every kernel in the tensor crate brackets its work with [`start`] and
+//! [`record`], passing a class and its FLOP / byte estimates; a fused
+//! kernel records the sum of its parts once. Profiling is **off by
+//! default**: the disabled path is a single relaxed load and a branch, with
+//! no clock read, and the bench gate in `rpf-bench` pins that it adds <1%
+//! to the decode benchmark.
 //!
 //! Attribution is by *class*, not call site. A fused LSTM gate kernel is
 //! one `LstmGatesFused` entry; the gaussian output head installs a
@@ -134,14 +134,25 @@ impl Drop for ClassScope {
     }
 }
 
-/// Record one kernel invocation that started at `started`. The disabled
-/// path returns before reading the clock or any thread-local.
+/// The start instant of one kernel call, or `None` while profiling is
+/// disabled, so the disabled path never reads the clock.
 #[inline]
-pub fn record(class: OpClass, flops: u64, bytes: u64, started: Instant) {
-    if !enabled() {
-        return;
+pub fn start() -> Option<Instant> {
+    if enabled() {
+        Some(Instant::now())
+    } else {
+        None
     }
-    record_nanos(class, flops, bytes, started.elapsed().as_nanos() as u64);
+}
+
+/// Record one kernel invocation that began at `started` (from [`start`]).
+/// A `None` start is a no-op, so a call that began while profiling was
+/// disabled is never recorded.
+#[inline]
+pub fn record(class: OpClass, flops: u64, bytes: u64, started: Option<Instant>) {
+    if let Some(started) = started {
+        record_nanos(class, flops, bytes, started.elapsed().as_nanos() as u64);
+    }
 }
 
 /// Deterministic entry point: like [`record`] but with an explicit
@@ -236,6 +247,23 @@ mod tests {
         set_enabled(false);
         let s = stats(OpClass::MatmulInto);
         assert_eq!((s.calls, s.flops, s.bytes, s.nanos), (2, 300, 32, 12));
+    }
+
+    #[test]
+    fn start_and_record_only_count_while_enabled() {
+        let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        reset();
+        set_enabled(false);
+        assert!(start().is_none());
+        set_enabled(true);
+        record(OpClass::Matmul, 100, 16, None);
+        assert_eq!(stats(OpClass::Matmul), OpStats::default());
+        let started = start();
+        assert!(started.is_some());
+        record(OpClass::Matmul, 100, 16, started);
+        set_enabled(false);
+        let s = stats(OpClass::Matmul);
+        assert_eq!((s.calls, s.flops, s.bytes), (1, 100, 16));
     }
 
     #[test]

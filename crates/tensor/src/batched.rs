@@ -31,10 +31,8 @@
 //! reference counterparts so the operator-breakdown table stays comparable
 //! across backends.
 
-use crate::counters::{self, Kernel};
 use crate::matrix::Matrix;
-use rpf_obs::ops::OpClass;
-use std::time::Instant;
+use rpf_obs::ops::{self, OpClass};
 
 /// Register-tile width, matching [`crate::matmul`]'s slab size. Measured
 /// best on this kernel shape (`n` = 4·hidden = 160, small `k`): narrower
@@ -52,7 +50,8 @@ fn slab_fma(acc: &mut [f32; TILE], a_rk: f32, b_slab: &[f32]) {
 
 /// Ragged-tail columns `j0..n` of one output row: per-element FMA dot in
 /// ascending `k`, same element order as the tiled body. With `ACC` the
-/// existing output element seeds the accumulation (`c += a·b`).
+/// existing output element seeds the accumulation (`c += a·b`), which is
+/// how the paired kernels add their second product.
 #[inline(always)]
 fn tail_fma<const ACC: bool>(
     a_row: &[f32],
@@ -71,17 +70,6 @@ fn tail_fma<const ACC: bool>(
     }
 }
 
-/// Seed a register slab: the existing output values when accumulating,
-/// zeros when overwriting.
-#[inline(always)]
-fn seed_slab<const ACC: bool>(c_row: &[f32], j0: usize) -> [f32; TILE] {
-    let mut acc = [0.0f32; TILE];
-    if ACC {
-        acc.copy_from_slice(&c_row[j0..j0 + TILE]);
-    }
-    acc
-}
-
 /// Four output rows at once in `TILE`-wide register slabs, FMA-contracted
 /// and branch-free: unlike [`crate::matmul`]'s micro kernel there is no
 /// dense/sparse split — a zero in A contributes an FMA with a zero
@@ -89,7 +77,7 @@ fn seed_slab<const ACC: bool>(c_row: &[f32], j0: usize) -> [f32; TILE] {
 /// own values (no data-dependent control flow).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn fma_rows4<const ACC: bool>(
+fn fma_rows4(
     a0: &[f32],
     a1: &[f32],
     a2: &[f32],
@@ -104,10 +92,10 @@ fn fma_rows4<const ACC: bool>(
 ) {
     let mut j0 = 0;
     while j0 + TILE <= n {
-        let mut acc0 = seed_slab::<ACC>(c0, j0);
-        let mut acc1 = seed_slab::<ACC>(c1, j0);
-        let mut acc2 = seed_slab::<ACC>(c2, j0);
-        let mut acc3 = seed_slab::<ACC>(c3, j0);
+        let mut acc0 = [0.0f32; TILE];
+        let mut acc1 = [0.0f32; TILE];
+        let mut acc2 = [0.0f32; TILE];
+        let mut acc3 = [0.0f32; TILE];
         for kk in 0..k {
             let b_slab = &b_data[kk * n + j0..kk * n + j0 + TILE];
             slab_fma(&mut acc0, a0[kk], b_slab);
@@ -122,25 +110,19 @@ fn fma_rows4<const ACC: bool>(
         j0 += TILE;
     }
     if j0 < n {
-        tail_fma::<ACC>(a0, b_data, &mut c0[j0..], j0, n);
-        tail_fma::<ACC>(a1, b_data, &mut c1[j0..], j0, n);
-        tail_fma::<ACC>(a2, b_data, &mut c2[j0..], j0, n);
-        tail_fma::<ACC>(a3, b_data, &mut c3[j0..], j0, n);
+        tail_fma::<false>(a0, b_data, &mut c0[j0..], j0, n);
+        tail_fma::<false>(a1, b_data, &mut c1[j0..], j0, n);
+        tail_fma::<false>(a2, b_data, &mut c2[j0..], j0, n);
+        tail_fma::<false>(a3, b_data, &mut c3[j0..], j0, n);
     }
 }
 
 /// Single-row variant of [`fma_rows4`] for the 1–3 leftover rows.
 #[inline(always)]
-fn fma_rows1<const ACC: bool>(
-    a_row: &[f32],
-    b_data: &[f32],
-    c_row: &mut [f32],
-    k: usize,
-    n: usize,
-) {
+fn fma_rows1(a_row: &[f32], b_data: &[f32], c_row: &mut [f32], k: usize, n: usize) {
     let mut j0 = 0;
     while j0 + TILE <= n {
-        let mut acc = seed_slab::<ACC>(c_row, j0);
+        let mut acc = [0.0f32; TILE];
         for kk in 0..k {
             let b_slab = &b_data[kk * n + j0..kk * n + j0 + TILE];
             slab_fma(&mut acc, a_row[kk], b_slab);
@@ -149,7 +131,7 @@ fn fma_rows1<const ACC: bool>(
         j0 += TILE;
     }
     if j0 < n {
-        tail_fma::<ACC>(a_row, b_data, &mut c_row[j0..], j0, n);
+        tail_fma::<false>(a_row, b_data, &mut c_row[j0..], j0, n);
     }
 }
 
@@ -239,44 +221,6 @@ fn fma_rows1_pair(
     }
 }
 
-/// Shared body of [`matmul_fma_into`] / [`matmul_fma_acc_into`].
-#[inline(always)]
-fn fma_gemm_body<const ACC: bool>(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    let mut li = 0;
-    let mut rest = out.as_mut_slice();
-    while li + 4 <= m {
-        let (quad, r) = rest.split_at_mut(4 * n);
-        rest = r;
-        let (c0, q) = quad.split_at_mut(n);
-        let (c1, q) = q.split_at_mut(n);
-        let (c2, c3) = q.split_at_mut(n);
-        fma_rows4::<ACC>(
-            &a_data[li * k..(li + 1) * k],
-            &a_data[(li + 1) * k..(li + 2) * k],
-            &a_data[(li + 2) * k..(li + 3) * k],
-            &a_data[(li + 3) * k..(li + 4) * k],
-            b_data,
-            c0,
-            c1,
-            c2,
-            c3,
-            k,
-            n,
-        );
-        li += 4;
-    }
-    while li < m {
-        let (c_row, r) = rest.split_at_mut(n);
-        rest = r;
-        fma_rows1::<ACC>(&a_data[li * k..(li + 1) * k], b_data, c_row, k, n);
-        li += 1;
-    }
-}
-
 /// `out = A * B` with FMA contraction into a caller-owned buffer.
 ///
 /// Contract: each output element is `Σ_k fma(a[i,k], b[k,j], ·)` over
@@ -294,30 +238,55 @@ pub fn matmul_fma_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         a.shape(),
         b.shape()
     );
-    let started = Instant::now();
+    let started = ops::start();
     let (m, k) = a.shape();
     let n = b.cols();
     // Every element is stored wholesale from a register slab or the tail
     // dot, so stale contents never leak through.
     out.reset_for_overwrite(m, n);
-    fma_gemm_body::<false>(a, b, out);
+    let a_data = a.as_slice();
+    let b_data = b.as_slice();
+    let mut li = 0;
+    let mut rest = out.as_mut_slice();
+    while li + 4 <= m {
+        let (quad, r) = rest.split_at_mut(4 * n);
+        rest = r;
+        let (c0, q) = quad.split_at_mut(n);
+        let (c1, q) = q.split_at_mut(n);
+        let (c2, c3) = q.split_at_mut(n);
+        fma_rows4(
+            &a_data[li * k..(li + 1) * k],
+            &a_data[(li + 1) * k..(li + 2) * k],
+            &a_data[(li + 2) * k..(li + 3) * k],
+            &a_data[(li + 3) * k..(li + 4) * k],
+            b_data,
+            c0,
+            c1,
+            c2,
+            c3,
+            k,
+            n,
+        );
+        li += 4;
+    }
+    while li < m {
+        let (c_row, r) = rest.split_at_mut(n);
+        rest = r;
+        fma_rows1(&a_data[li * k..(li + 1) * k], b_data, c_row, k, n);
+        li += 1;
+    }
     let flops = 2 * (m as u64) * (n as u64) * (k as u64);
     let bytes = 4 * ((m * k) as u64 + (k * n) as u64 + (m * n) as u64);
-    counters::record_timed_for(
-        OpClass::MatmulBatched,
-        Kernel::MatMul,
-        flops,
-        bytes,
-        started,
-    );
+    ops::record(OpClass::MatmulBatched, flops, bytes, started);
 }
 
 /// `out = A1·B1 + A2·B2` in one register-tiled pass: the second product
 /// accumulates into the same slabs as the first, so `out` is written
-/// exactly once. This is the LSTM pre-activation kernel — `gates =
-/// x·Wˣ + h·Wʰ` — where the two-call formulation (`matmul_fma_into` +
-/// [`matmul_fma_acc_into`]) would stream the whole `[batch × 4·hidden]`
-/// gate block through memory three times instead of once.
+/// exactly once. This is the LSTM pre-activation `gates = x·Wˣ + h·Wʰ` as a
+/// stand-alone kernel; serving runs the same row kernels inside
+/// [`lstm_step_fused_batched`], and this kernel, followed by
+/// [`lstm_gates_fused_batched`] and [`lstm_state_update_batched`], is the
+/// unfused pipeline the fused step is pinned bit-identical against.
 ///
 /// Per output element the accumulation order is fixed (all of `B1`'s inner
 /// dimension ascending, then all of `B2`'s), each row depends only on its
@@ -354,7 +323,7 @@ pub fn matmul_fma2_into(a1: &Matrix, b1: &Matrix, a2: &Matrix, b2: &Matrix, out:
         b1.shape(),
         b2.shape()
     );
-    let started = Instant::now();
+    let started = ops::start();
     let m = a1.rows();
     let (k1, k2) = (a1.cols(), a2.cols());
     let n = b1.cols();
@@ -395,54 +364,7 @@ pub fn matmul_fma2_into(a1: &Matrix, b1: &Matrix, a2: &Matrix, b2: &Matrix, out:
     }
     let flops = 2 * (m as u64) * (n as u64) * ((k1 + k2) as u64);
     let bytes = 4 * ((m * (k1 + k2)) as u64 + ((k1 + k2) * n) as u64 + (m * n) as u64);
-    counters::record_timed_for(
-        OpClass::MatmulBatched,
-        Kernel::MatMul,
-        flops,
-        bytes,
-        started,
-    );
-}
-
-/// `out += A * B`, FMA-contracted like [`matmul_fma_into`] but seeding each
-/// accumulator slab from the existing output element instead of zero. The
-/// LSTM step uses this to fold the recurrent `h·Wʰ` product straight into
-/// the `x·Wˣ` pre-activations, skipping a whole `[batch × 4·hidden]`
-/// scratch write + re-read per layer-step — at decode batch sizes that
-/// buffer is megabytes of pure traffic.
-///
-/// Row independence and fixed-layout bit-determinism hold exactly as for
-/// the overwriting kernel: row `i` of the result depends only on row `i`
-/// of A, row `i` of the prior `out`, and B, accumulated in a fixed order.
-/// Panics on inner or output dimension mismatch.
-pub fn matmul_fma_acc_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul_fma_acc_into: inner dimensions differ ({:?} x {:?})",
-        a.shape(),
-        b.shape()
-    );
-    assert_eq!(
-        out.shape(),
-        (a.rows(), b.cols()),
-        "matmul_fma_acc_into: output shape {:?} != {:?}",
-        out.shape(),
-        (a.rows(), b.cols())
-    );
-    let started = Instant::now();
-    let (m, k) = a.shape();
-    let n = b.cols();
-    fma_gemm_body::<true>(a, b, out);
-    let flops = 2 * (m as u64) * (n as u64) * (k as u64);
-    let bytes = 4 * ((m * k) as u64 + (k * n) as u64 + 2 * (m * n) as u64);
-    counters::record_timed_for(
-        OpClass::MatmulBatched,
-        Kernel::MatMul,
-        flops,
-        bytes,
-        started,
-    );
+    ops::record(OpClass::MatmulBatched, flops, bytes, started);
 }
 
 /// Rational-polynomial `tanh` (the classic 13/6-degree float fit, clamped
@@ -546,7 +468,7 @@ pub fn lstm_gates_fused_batched(gates: &mut Matrix, bias: &Matrix, hidden: usize
         "lstm_gates_fused_batched: bias shape {:?}",
         bias.shape()
     );
-    let started = Instant::now();
+    let started = ops::start();
     let cols = gates.cols();
     let b = bias.as_slice();
     let (b_if, b_rest) = b.split_at(2 * hidden);
@@ -554,18 +476,9 @@ pub fn lstm_gates_fused_batched(gates: &mut Matrix, bias: &Matrix, hidden: usize
     for row in gates.as_mut_slice().chunks_mut(cols) {
         activate_gate_row(row, b_if, b_g, b_o, hidden);
     }
-    let bt = gates.rows() as u64;
-    let h = hidden as u64;
-    let n = bt * 4 * h;
-    counters::record_timed_split_for(
-        OpClass::LstmGatesFused,
-        &[
-            (Kernel::Add, n, 8 * n),
-            (Kernel::Sigmoid, 10 * 3 * bt * h, 8 * 3 * bt * h),
-            (Kernel::Tanh, 10 * bt * h, 8 * bt * h),
-        ],
-        started,
-    );
+    let n = gates.len() as u64;
+    // One bias add, then one activation (~10 flops) per element.
+    ops::record(OpClass::LstmGatesFused, 11 * n, 16 * n, started);
 }
 
 /// Batched mirror of [`crate::ops::lstm_state_update`]:
@@ -589,7 +502,7 @@ pub fn lstm_state_update_batched(gates: &Matrix, c: &mut Matrix, h: &mut Matrix,
         "lstm_state_update_batched: h shape {:?}",
         h.shape()
     );
-    let started = Instant::now();
+    let started = ops::start();
     let gcols = gates.cols();
     for (row_idx, g_row) in gates.as_slice().chunks(gcols).enumerate() {
         let c_row = &mut c.as_mut_slice()[row_idx * hidden..(row_idx + 1) * hidden];
@@ -597,15 +510,8 @@ pub fn lstm_state_update_batched(gates: &Matrix, c: &mut Matrix, h: &mut Matrix,
         state_update_row(g_row, c_row, h_row, hidden);
     }
     let n = (gates.rows() * hidden) as u64;
-    counters::record_timed_split_for(
-        OpClass::LstmStateUpdate,
-        &[
-            (Kernel::Mul, 3 * n, 3 * 12 * n),
-            (Kernel::Add, n, 12 * n),
-            (Kernel::Tanh, 10 * n, 8 * n),
-        ],
-        started,
-    );
+    // Three muls, one add and one tanh (~10 flops) per state element.
+    ops::record(OpClass::LstmStateUpdate, 14 * n, 56 * n, started);
 }
 
 /// One whole batched LSTM layer-step, tile-fused: for each 4-row tile the
@@ -676,7 +582,7 @@ pub fn lstm_step_fused_batched(
         "lstm_step_fused_batched: c shape {:?}",
         c.shape()
     );
-    let started = Instant::now();
+    let started = ops::start();
     let k1 = x.cols();
     let k2 = hidden;
     tile_gates.reset_for_overwrite(4, n);
@@ -754,21 +660,12 @@ pub fn lstm_step_fused_batched(
     let hd = hidden as u64;
     let nn = n as u64;
     let kk = (k1 + k2) as u64;
-    counters::record_timed_split_for(
-        OpClass::MatmulBatched,
-        &[
-            (
-                Kernel::MatMul,
-                2 * mm * nn * kk,
-                4 * (mm * kk + kk * nn + mm * nn),
-            ),
-            (Kernel::Add, mm * nn + mm * hd, 8 * mm * nn + 12 * mm * hd),
-            (Kernel::Mul, 3 * mm * hd, 36 * mm * hd),
-            (Kernel::Sigmoid, 30 * mm * hd, 24 * mm * hd),
-            (Kernel::Tanh, 20 * mm * hd, 16 * mm * hd),
-        ],
-        started,
-    );
+    // The paired GEMM, then the gate pass (bias add + activation per gate
+    // element) and the state pass (three muls, one add, one tanh per state
+    // element), each activation counted at ~10 flops.
+    let flops = 2 * mm * nn * kk + 11 * mm * nn + 14 * mm * hd;
+    let bytes = 4 * (mm * kk + kk * nn + mm * nn) + 16 * mm * nn + 56 * mm * hd;
+    ops::record(OpClass::MatmulBatched, flops, bytes, started);
 }
 
 /// Two fused affine column projections over the same input block:
@@ -800,7 +697,7 @@ pub fn dual_affine_into(
         "dual_affine_into: w1 shape {:?}",
         w1.shape()
     );
-    let started = Instant::now();
+    let started = ops::start();
     out0.reset_for_overwrite(m, 1);
     out1.reset_for_overwrite(m, 1);
     let h_data = h.as_slice();
@@ -821,13 +718,7 @@ pub fn dual_affine_into(
     }
     let flops = (4 * m * k + 2 * m) as u64;
     let bytes = 4 * (m * k + 2 * k + 2 * m) as u64;
-    counters::record_timed_for(
-        OpClass::MatmulBatched,
-        Kernel::MatMul,
-        flops,
-        bytes,
-        started,
-    );
+    ops::record(OpClass::MatmulBatched, flops, bytes, started);
 }
 
 #[cfg(test)]
@@ -841,28 +732,6 @@ mod tests {
             state = state.wrapping_mul(1664525).wrapping_add(1013904223);
             ((state >> 8) as f32 / (1 << 24) as f32) - 0.5
         })
-    }
-
-    #[test]
-    fn matmul_fma_acc_adds_onto_existing_output() {
-        for (m, k, n, seed) in [(7, 5, 9, 1), (100, 17, 160, 2), (5, 40, 23, 3)] {
-            let a = pseudo_random_matrix(m, k, seed);
-            let b = pseudo_random_matrix(k, n, seed + 50);
-            let base = pseudo_random_matrix(m, n, seed + 90);
-            let product = matmul_naive(&a, &b);
-            let mut out = base.clone();
-            matmul_fma_acc_into(&a, &b, &mut out);
-            for i in 0..m {
-                for j in 0..n {
-                    let want = base.get(i, j) + product.get(i, j);
-                    let got = out.get(i, j);
-                    assert!(
-                        (got - want).abs() <= 1e-5 * (1.0 + want.abs()),
-                        "({i},{j}): {got} vs {want}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -7,20 +7,19 @@
 //! * [`Matrix`] — a row-major dense `f32` matrix with shape-checked ops,
 //! * a blocked, cache-friendly matrix multiply that goes parallel via
 //!   `crossbeam` scoped threads once the work is large enough,
-//! * [`counters`] — per-kernel FLOP / byte / walltime accounting used to
-//!   drive the paper's roofline chart (Fig 11) and operator breakdown
-//!   (Fig 12) without external profilers.
+//! * [`batched`] — the FMA lock-step kernels of the batched decoder.
 //!
 //! The kernel set mirrors the five operations the paper identifies inside an
 //! LSTM cell: `MatMul`, elementwise `Mul`, `Add`, `Sigmoid` and `Tanh`.
+//! Every kernel reports its class, FLOPs, bytes and walltime once per call to
+//! `rpf_obs::ops`, and only while profiling is on; the disabled path reads
+//! no clock. That profile is the measured operator breakdown (Fig 12).
 
 pub mod batched;
-pub mod counters;
 pub mod matmul;
 pub mod matrix;
 pub mod ops;
 pub mod par;
 pub mod scalar;
 
-pub use counters::{Kernel, KernelStats};
 pub use matrix::Matrix;

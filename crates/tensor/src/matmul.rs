@@ -6,10 +6,8 @@
 //! inner loop is a unit-stride AXPY that the compiler auto-vectorizes, plus
 //! row-parallelism over the output via [`crate::par`].
 
-use crate::counters::{self, Kernel};
 use crate::matrix::Matrix;
-use rpf_obs::ops::OpClass;
-use std::time::Instant;
+use rpf_obs::ops::{self, OpClass};
 
 /// `C = A * B`. Panics on inner-dimension mismatch.
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
@@ -20,7 +18,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         a.shape(),
         b.shape()
     );
-    let started = Instant::now();
+    let started = ops::start();
     let (m, k) = a.shape();
     let n = b.cols();
     let mut c = Matrix::zeros(m, n);
@@ -53,7 +51,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 
     let flops = 2 * (m as u64) * (n as u64) * (k as u64);
     let bytes = 4 * ((m * k) as u64 + (k * n) as u64 + (m * n) as u64);
-    counters::record_timed(Kernel::MatMul, flops, bytes, started);
+    ops::record(OpClass::Matmul, flops, bytes, started);
     c
 }
 
@@ -311,7 +309,7 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         a.shape(),
         b.shape()
     );
-    let started = Instant::now();
+    let started = ops::start();
     let (m, k) = a.shape();
     let n = b.cols();
     if n == 1 {
@@ -323,7 +321,7 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         });
         let flops = 2 * (m as u64) * (k as u64);
         let bytes = 4 * ((m * k) as u64 + k as u64 + m as u64);
-        counters::record_timed_for(OpClass::MatmulInto, Kernel::MatMul, flops, bytes, started);
+        ops::record(OpClass::MatmulInto, flops, bytes, started);
         return;
     }
     if n.is_multiple_of(TILE) {
@@ -376,7 +374,7 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 
     let flops = 2 * (m as u64) * (n as u64) * (k as u64);
     let bytes = 4 * ((m * k) as u64 + (k * n) as u64 + (m * n) as u64);
-    counters::record_timed_for(OpClass::MatmulInto, Kernel::MatMul, flops, bytes, started);
+    ops::record(OpClass::MatmulInto, flops, bytes, started);
 }
 
 /// Reference triple-loop multiply used to validate [`matmul`] in tests.
@@ -409,7 +407,7 @@ pub fn matmul_bt(a: &Matrix, b: &Matrix) -> Matrix {
         a.shape(),
         b.shape()
     );
-    let started = Instant::now();
+    let started = ops::start();
     let (m, k) = a.shape();
     let n = b.rows();
     let mut c = Matrix::zeros(m, n);
@@ -435,7 +433,7 @@ pub fn matmul_bt(a: &Matrix, b: &Matrix) -> Matrix {
     }
     let flops = 2 * (m as u64) * (n as u64) * (k as u64);
     let bytes = 4 * ((m * k) as u64 + (k * n) as u64 + (m * n) as u64);
-    counters::record_timed(Kernel::MatMul, flops, bytes, started);
+    ops::record(OpClass::Matmul, flops, bytes, started);
     c
 }
 
@@ -450,7 +448,7 @@ pub fn matmul_at(a: &Matrix, b: &Matrix) -> Matrix {
         a.shape(),
         b.shape()
     );
-    let started = Instant::now();
+    let started = ops::start();
     let (k, m) = a.shape();
     let n = b.cols();
     let mut c = Matrix::zeros(m, n);
@@ -481,7 +479,7 @@ pub fn matmul_at(a: &Matrix, b: &Matrix) -> Matrix {
     }
     let flops = 2 * (m as u64) * (n as u64) * (k as u64);
     let bytes = 4 * ((m * k) as u64 + (k * n) as u64 + (m * n) as u64);
-    counters::record_timed(Kernel::MatMul, flops, bytes, started);
+    ops::record(OpClass::Matmul, flops, bytes, started);
     c
 }
 

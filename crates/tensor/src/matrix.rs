@@ -79,15 +79,6 @@ impl Matrix {
         }
     }
 
-    /// An Nx1 column vector from a slice.
-    pub fn col_vector(values: &[f32]) -> Self {
-        Matrix {
-            rows: values.len(),
-            cols: 1,
-            data: values.to_vec(),
-        }
-    }
-
     /// The identity matrix of size `n`.
     pub fn eye(n: usize) -> Self {
         Self::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
@@ -130,11 +121,6 @@ impl Matrix {
     #[inline(always)]
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consume into the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     #[inline(always)]

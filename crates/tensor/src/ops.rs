@@ -1,13 +1,12 @@
 //! Elementwise and broadcast kernels (`Mul`, `Add`, `Sigmoid`, `Tanh`, ...).
 //!
-//! Each op reports its work to [`crate::counters`] so the systems experiments
-//! can reconstruct the paper's operator breakdown. Transcendental kernels
-//! count the polynomial cost the paper's roofline uses (~10 flops/element).
+//! Each op reports its work to `rpf_obs::ops` while profiling is on, so the
+//! systems experiments can reconstruct the paper's operator breakdown.
+//! Transcendental kernels count the polynomial cost the paper's roofline
+//! uses (~10 flops/element).
 
-use crate::counters::{self, Kernel};
 use crate::matrix::Matrix;
-use rpf_obs::ops::OpClass;
-use std::time::Instant;
+use rpf_obs::ops::{self, OpClass};
 
 fn assert_same_shape(a: &Matrix, b: &Matrix, op: &str) {
     assert_eq!(
@@ -22,63 +21,63 @@ fn assert_same_shape(a: &Matrix, b: &Matrix, op: &str) {
 /// Elementwise addition: `a + b`.
 pub fn add(a: &Matrix, b: &Matrix) -> Matrix {
     assert_same_shape(a, b, "add");
-    let started = Instant::now();
+    let started = ops::start();
     let mut out = a.clone();
     for (o, &x) in out.as_mut_slice().iter_mut().zip(b.as_slice()) {
         *o += x;
     }
     let n = a.len() as u64;
-    counters::record_timed(Kernel::Add, n, 12 * n, started);
+    ops::record(OpClass::Scalar, n, 12 * n, started);
     out
 }
 
 /// Elementwise subtraction: `a - b`.
 pub fn sub(a: &Matrix, b: &Matrix) -> Matrix {
     assert_same_shape(a, b, "sub");
-    let started = Instant::now();
+    let started = ops::start();
     let mut out = a.clone();
     for (o, &x) in out.as_mut_slice().iter_mut().zip(b.as_slice()) {
         *o -= x;
     }
     let n = a.len() as u64;
-    counters::record_timed(Kernel::Add, n, 12 * n, started);
+    ops::record(OpClass::Scalar, n, 12 * n, started);
     out
 }
 
 /// Elementwise (Hadamard) product: `a ⊙ b`.
 pub fn mul(a: &Matrix, b: &Matrix) -> Matrix {
     assert_same_shape(a, b, "mul");
-    let started = Instant::now();
+    let started = ops::start();
     let mut out = a.clone();
     for (o, &x) in out.as_mut_slice().iter_mut().zip(b.as_slice()) {
         *o *= x;
     }
     let n = a.len() as u64;
-    counters::record_timed(Kernel::Mul, n, 12 * n, started);
+    ops::record(OpClass::Scalar, n, 12 * n, started);
     out
 }
 
 /// Scale every element by `s`.
 pub fn scale(a: &Matrix, s: f32) -> Matrix {
-    let started = Instant::now();
+    let started = ops::start();
     let mut out = a.clone();
     for o in out.as_mut_slice() {
         *o *= s;
     }
     let n = a.len() as u64;
-    counters::record_timed(Kernel::Mul, n, 8 * n, started);
+    ops::record(OpClass::Scalar, n, 8 * n, started);
     out
 }
 
 /// Add scalar `s` to every element.
 pub fn add_scalar(a: &Matrix, s: f32) -> Matrix {
-    let started = Instant::now();
+    let started = ops::start();
     let mut out = a.clone();
     for o in out.as_mut_slice() {
         *o += s;
     }
     let n = a.len() as u64;
-    counters::record_timed(Kernel::Add, n, 8 * n, started);
+    ops::record(OpClass::Scalar, n, 8 * n, started);
     out
 }
 
@@ -86,7 +85,7 @@ pub fn add_scalar(a: &Matrix, s: f32) -> Matrix {
 pub fn add_row(a: &Matrix, row: &Matrix) -> Matrix {
     assert_eq!(row.rows(), 1, "add_row: rhs must be a row vector");
     assert_eq!(row.cols(), a.cols(), "add_row: width mismatch");
-    let started = Instant::now();
+    let started = ops::start();
     let mut out = a.clone();
     let r = row.as_slice();
     let cols = a.cols();
@@ -96,37 +95,37 @@ pub fn add_row(a: &Matrix, row: &Matrix) -> Matrix {
         }
     }
     let n = a.len() as u64;
-    counters::record_timed(Kernel::Add, n, 12 * n, started);
+    ops::record(OpClass::Scalar, n, 12 * n, started);
     out
 }
 
 /// Logistic sigmoid `1 / (1 + e^-x)` applied elementwise.
 pub fn sigmoid(a: &Matrix) -> Matrix {
-    let started = Instant::now();
+    let started = ops::start();
     let mut out = a.clone();
     for o in out.as_mut_slice() {
         *o = crate::scalar::sigmoid(*o);
     }
     let n = a.len() as u64;
-    counters::record_timed(Kernel::Sigmoid, 10 * n, 8 * n, started);
+    ops::record(OpClass::Scalar, 10 * n, 8 * n, started);
     out
 }
 
 /// Hyperbolic tangent applied elementwise.
 pub fn tanh(a: &Matrix) -> Matrix {
-    let started = Instant::now();
+    let started = ops::start();
     let mut out = a.clone();
     for o in out.as_mut_slice() {
         *o = crate::scalar::tanh(*o);
     }
     let n = a.len() as u64;
-    counters::record_timed(Kernel::Tanh, 10 * n, 8 * n, started);
+    ops::record(OpClass::Scalar, 10 * n, 8 * n, started);
     out
 }
 
 /// ReLU `max(0, x)` applied elementwise.
 pub fn relu(a: &Matrix) -> Matrix {
-    let started = Instant::now();
+    let started = ops::start();
     let mut out = a.clone();
     for o in out.as_mut_slice() {
         if *o < 0.0 {
@@ -134,52 +133,52 @@ pub fn relu(a: &Matrix) -> Matrix {
         }
     }
     let n = a.len() as u64;
-    counters::record_timed(Kernel::Other, n, 8 * n, started);
+    ops::record(OpClass::Other, n, 8 * n, started);
     out
 }
 
 /// Numerically-stable softplus `log(1 + e^x)`, the paper's link function for
 /// the Gaussian scale parameter sigma.
 pub fn softplus(a: &Matrix) -> Matrix {
-    let started = Instant::now();
+    let started = ops::start();
     let mut out = a.clone();
     for o in out.as_mut_slice() {
         // For large x, log(1+e^x) = x + log(1+e^-x) avoids overflow.
         *o = if *o > 20.0 { *o } else { (1.0 + o.exp()).ln() };
     }
     let n = a.len() as u64;
-    counters::record_timed(Kernel::Other, 12 * n, 8 * n, started);
+    ops::record(OpClass::Other, 12 * n, 8 * n, started);
     out
 }
 
 /// Elementwise natural exponential.
 pub fn exp(a: &Matrix) -> Matrix {
-    let started = Instant::now();
+    let started = ops::start();
     let mut out = a.clone();
     for o in out.as_mut_slice() {
         *o = o.exp();
     }
     let n = a.len() as u64;
-    counters::record_timed(Kernel::Other, 10 * n, 8 * n, started);
+    ops::record(OpClass::Other, 10 * n, 8 * n, started);
     out
 }
 
 /// Apply an arbitrary function elementwise (counted as `Other`).
 pub fn map(a: &Matrix, f: impl Fn(f32) -> f32) -> Matrix {
-    let started = Instant::now();
+    let started = ops::start();
     let mut out = a.clone();
     for o in out.as_mut_slice() {
         *o = f(*o);
     }
     let n = a.len() as u64;
-    counters::record_timed(Kernel::Other, n, 8 * n, started);
+    ops::record(OpClass::Other, n, 8 * n, started);
     out
 }
 
 /// Column-wise sum, producing a 1xC row vector. (Backward pass of a
 /// broadcast bias-add.)
 pub fn sum_rows(a: &Matrix) -> Matrix {
-    let started = Instant::now();
+    let started = ops::start();
     let cols = a.cols();
     let mut out = Matrix::zeros(1, cols);
     for row in a.as_slice().chunks(cols) {
@@ -188,14 +187,14 @@ pub fn sum_rows(a: &Matrix) -> Matrix {
         }
     }
     let n = a.len() as u64;
-    counters::record_timed(Kernel::Add, n, 8 * n, started);
+    ops::record(OpClass::Scalar, n, 8 * n, started);
     out
 }
 
 /// Row-wise softmax; each row sums to one. Used by the Transformer's
 /// attention weights.
 pub fn softmax_rows(a: &Matrix) -> Matrix {
-    let started = Instant::now();
+    let started = ops::start();
     let cols = a.cols();
     let mut out = a.clone();
     for row in out.as_mut_slice().chunks_mut(cols) {
@@ -212,7 +211,7 @@ pub fn softmax_rows(a: &Matrix) -> Matrix {
         }
     }
     let n = a.len() as u64;
-    counters::record_timed(Kernel::Other, 15 * n, 8 * n, started);
+    ops::record(OpClass::Other, 15 * n, 8 * n, started);
     out
 }
 
@@ -223,27 +222,27 @@ pub fn softmax_rows(a: &Matrix) -> Matrix {
 // as its allocating counterpart above, so a serving path built from them is
 // bit-identical to the training-graph forward pass (Rust never contracts
 // separate mul/add expressions into FMAs, so `(f*c) + (i*g)` written as three
-// ops rounds exactly like the tape's mul/mul/add sequence). Counter
-// accounting skips the clone traffic the allocating versions pay: reads +
+// ops rounds exactly like the tape's mul/mul/add sequence). Their byte
+// counts skip the clone traffic the allocating versions pay: reads +
 // writes only.
 // ---------------------------------------------------------------------------
 
 /// In-place elementwise addition: `a += b`.
 pub fn add_assign(a: &mut Matrix, b: &Matrix) {
     assert_same_shape(a, b, "add_assign");
-    let started = Instant::now();
+    let started = ops::start();
     for (o, &x) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
         *o += x;
     }
     let n = a.len() as u64;
-    counters::record_timed(Kernel::Add, n, 12 * n, started);
+    ops::record(OpClass::Scalar, n, 12 * n, started);
 }
 
 /// In-place broadcast-add of a 1xC row vector to every row of `a`.
 pub fn add_row_assign(a: &mut Matrix, row: &Matrix) {
     assert_eq!(row.rows(), 1, "add_row_assign: rhs must be a row vector");
     assert_eq!(row.cols(), a.cols(), "add_row_assign: width mismatch");
-    let started = Instant::now();
+    let started = ops::start();
     let r = row.as_slice();
     let cols = a.cols();
     for out_row in a.as_mut_slice().chunks_mut(cols) {
@@ -252,100 +251,49 @@ pub fn add_row_assign(a: &mut Matrix, row: &Matrix) {
         }
     }
     let n = a.len() as u64;
-    counters::record_timed(Kernel::Add, n, 12 * n, started);
+    ops::record(OpClass::Scalar, n, 12 * n, started);
 }
 
 /// In-place scalar addition: `a += s` elementwise.
 pub fn add_scalar_assign(a: &mut Matrix, s: f32) {
-    let started = Instant::now();
+    let started = ops::start();
     for o in a.as_mut_slice() {
         *o += s;
     }
     let n = a.len() as u64;
-    counters::record_timed(Kernel::Add, n, 8 * n, started);
-}
-
-/// In-place logistic sigmoid, same formula as [`sigmoid`].
-pub fn sigmoid_assign(a: &mut Matrix) {
-    let started = Instant::now();
-    for o in a.as_mut_slice() {
-        *o = crate::scalar::sigmoid(*o);
-    }
-    let n = a.len() as u64;
-    counters::record_timed(Kernel::Sigmoid, 10 * n, 8 * n, started);
+    ops::record(OpClass::Scalar, n, 8 * n, started);
 }
 
 /// In-place hyperbolic tangent.
 pub fn tanh_assign(a: &mut Matrix) {
-    let started = Instant::now();
+    let started = ops::start();
     for o in a.as_mut_slice() {
         *o = crate::scalar::tanh(*o);
     }
     let n = a.len() as u64;
-    counters::record_timed(Kernel::Tanh, 10 * n, 8 * n, started);
+    ops::record(OpClass::Scalar, 10 * n, 8 * n, started);
 }
 
 /// In-place ReLU.
 pub fn relu_assign(a: &mut Matrix) {
-    let started = Instant::now();
+    let started = ops::start();
     for o in a.as_mut_slice() {
         if *o < 0.0 {
             *o = 0.0;
         }
     }
     let n = a.len() as u64;
-    counters::record_timed(Kernel::Other, n, 8 * n, started);
+    ops::record(OpClass::Other, n, 8 * n, started);
 }
 
 /// In-place numerically-stable softplus, same formula as [`softplus`].
 pub fn softplus_assign(a: &mut Matrix) {
-    let started = Instant::now();
+    let started = ops::start();
     for o in a.as_mut_slice() {
         *o = if *o > 20.0 { *o } else { (1.0 + o.exp()).ln() };
     }
     let n = a.len() as u64;
-    counters::record_timed(Kernel::Other, 12 * n, 8 * n, started);
-}
-
-/// Fused LSTM gate activation, in place on a pre-activation `gates` buffer of
-/// shape `(batch, 4*hidden)` laid out `[i f g o]`: sigmoid on the `i`/`f`/`o`
-/// blocks, tanh on the `g` block. One pass over the buffer replaces four
-/// slice-copy + activation kernels on the tape path; the time is attributed
-/// per activation class via [`counters::record_timed_split`] so the Fig 12
-/// operator breakdown stays honest.
-pub fn lstm_gates_activate(gates: &mut Matrix, hidden: usize) {
-    assert_eq!(
-        gates.cols(),
-        4 * hidden,
-        "lstm_gates_activate: expected 4*hidden={} cols, got {}",
-        4 * hidden,
-        gates.cols()
-    );
-    let started = Instant::now();
-    let cols = gates.cols();
-    for row in gates.as_mut_slice().chunks_mut(cols) {
-        let (ifg, o_blk) = row.split_at_mut(3 * hidden);
-        let (if_blk, g_blk) = ifg.split_at_mut(2 * hidden);
-        for v in if_blk {
-            *v = crate::scalar::sigmoid(*v);
-        }
-        for v in g_blk {
-            *v = crate::scalar::tanh(*v);
-        }
-        for v in o_blk {
-            *v = crate::scalar::sigmoid(*v);
-        }
-    }
-    let b = gates.rows() as u64;
-    let h = hidden as u64;
-    counters::record_timed_split_for(
-        OpClass::LstmGatesFused,
-        &[
-            (Kernel::Sigmoid, 10 * 3 * b * h, 8 * 3 * b * h),
-            (Kernel::Tanh, 10 * b * h, 8 * b * h),
-        ],
-        started,
-    );
+    ops::record(OpClass::Other, 12 * n, 8 * n, started);
 }
 
 /// Fully fused LSTM gate pre-activation + activation, in place on the
@@ -377,7 +325,7 @@ pub fn lstm_gates_fused(gates: &mut Matrix, gh: &Matrix, bias: &Matrix, hidden: 
         "lstm_gates_fused: bias shape {:?}",
         bias.shape()
     );
-    let started = Instant::now();
+    let started = ops::start();
     let cols = gates.cols();
     let b = bias.as_slice();
     let (b_if, b_rest) = b.split_at(2 * hidden);
@@ -401,22 +349,13 @@ pub fn lstm_gates_fused(gates: &mut Matrix, gh: &Matrix, bias: &Matrix, hidden: 
             *v = crate::scalar::sigmoid((*v + hh) + bv);
         }
     }
-    let bt = gates.rows() as u64;
-    let h = hidden as u64;
-    let n = bt * 4 * h;
-    counters::record_timed_split_for(
-        OpClass::LstmGatesFused,
-        &[
-            (Kernel::Add, 2 * n, 12 * n),
-            (Kernel::Sigmoid, 10 * 3 * bt * h, 8 * 3 * bt * h),
-            (Kernel::Tanh, 10 * bt * h, 8 * bt * h),
-        ],
-        started,
-    );
+    let n = gates.len() as u64;
+    // Two adds per element, then one activation (~10 flops) per element.
+    ops::record(OpClass::LstmGatesFused, 12 * n, 20 * n, started);
 }
 
 /// Fused LSTM state update from *activated* gates (see
-/// [`lstm_gates_activate`]): `c = f⊙c + i⊙g` then `h = o⊙tanh(c)`, written
+/// [`lstm_gates_fused`]): `c = f⊙c + i⊙g` then `h = o⊙tanh(c)`, written
 /// into caller-owned `c` / `h` buffers of shape `(batch, hidden)`. The
 /// per-element expressions are evaluated in the tape's op order (mul, mul,
 /// add, tanh, mul) so results are bit-identical to the training graph.
@@ -434,7 +373,7 @@ pub fn lstm_state_update(gates: &Matrix, c: &mut Matrix, h: &mut Matrix, hidden:
         "lstm_state_update: h shape {:?}",
         h.shape()
     );
-    let started = Instant::now();
+    let started = ops::start();
     let gcols = gates.cols();
     for (row_idx, g_row) in gates.as_slice().chunks(gcols).enumerate() {
         let c_row = &mut c.as_mut_slice()[row_idx * hidden..(row_idx + 1) * hidden];
@@ -456,26 +395,19 @@ pub fn lstm_state_update(gates: &Matrix, c: &mut Matrix, h: &mut Matrix, hidden:
         }
     }
     let n = (gates.rows() * hidden) as u64;
-    counters::record_timed_split_for(
-        OpClass::LstmStateUpdate,
-        &[
-            (Kernel::Mul, 3 * n, 3 * 12 * n),
-            (Kernel::Add, n, 12 * n),
-            (Kernel::Tanh, 10 * n, 8 * n),
-        ],
-        started,
-    );
+    // Three muls, one add and one tanh (~10 flops) per state element.
+    ops::record(OpClass::LstmStateUpdate, 14 * n, 56 * n, started);
 }
 
 /// In-place `a += s * b` (AXPY). The workhorse of the Adam optimizer update.
 pub fn axpy(a: &mut Matrix, s: f32, b: &Matrix) {
     assert_same_shape(a, b, "axpy");
-    let started = Instant::now();
+    let started = ops::start();
     for (o, &x) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
         *o += s * x;
     }
     let n = a.len() as u64;
-    counters::record_timed(Kernel::Add, 2 * n, 12 * n, started);
+    ops::record(OpClass::Scalar, 2 * n, 12 * n, started);
 }
 
 #[cfg(test)]
@@ -595,10 +527,6 @@ mod tests {
         assert_eq!(&x, &relu(&a));
 
         let mut x = a.clone();
-        sigmoid_assign(&mut x);
-        assert_eq!(&x, &sigmoid(&a));
-
-        let mut x = a.clone();
         tanh_assign(&mut x);
         assert_eq!(&x, &tanh(&a));
 
@@ -608,28 +536,14 @@ mod tests {
     }
 
     #[test]
-    fn fused_lstm_gates_match_slice_activation_path() {
-        let hidden = 5;
-        let gates = ramp(3, 4 * hidden, 0.11);
-        // The tape path: slice each block, activate, hstack back together.
-        let i = sigmoid(&gates.slice_cols(0, hidden));
-        let f = sigmoid(&gates.slice_cols(hidden, 2 * hidden));
-        let g = tanh(&gates.slice_cols(2 * hidden, 3 * hidden));
-        let o = sigmoid(&gates.slice_cols(3 * hidden, 4 * hidden));
-        let reference = Matrix::hstack(&[&i, &f, &g, &o]);
-
-        let mut fused = gates.clone();
-        lstm_gates_activate(&mut fused, hidden);
-        for (x, y) in fused.as_slice().iter().zip(reference.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
     fn fused_lstm_state_update_matches_tape_op_order() {
         let hidden = 4;
-        let mut gates = ramp(2, 4 * hidden, 0.23);
-        lstm_gates_activate(&mut gates, hidden);
+        let pre = ramp(2, 4 * hidden, 0.23);
+        let gates = Matrix::hstack(&[
+            &sigmoid(&pre.slice_cols(0, 2 * hidden)),
+            &tanh(&pre.slice_cols(2 * hidden, 3 * hidden)),
+            &sigmoid(&pre.slice_cols(3 * hidden, 4 * hidden)),
+        ]);
         let c0 = ramp(2, hidden, 0.61);
 
         // Tape op order: c = add(mul(f, c0), mul(i, g)); h = mul(o, tanh(c)).
@@ -652,9 +566,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "lstm_gates_activate")]
+    #[should_panic(expected = "lstm_gates_fused")]
     fn fused_gate_width_mismatch_panics() {
         let mut gates = Matrix::zeros(2, 10);
-        lstm_gates_activate(&mut gates, 4);
+        lstm_gates_fused(&mut gates, &Matrix::zeros(2, 10), &Matrix::zeros(1, 16), 4);
     }
 }

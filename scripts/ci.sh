@@ -86,7 +86,12 @@ cargo test -q -p rpf-obs --test export_golden --offline
 echo "== engine observability (registry counters, phase spans) =="
 cargo test -q -p ranknet-core --test engine_obs --offline
 
-echo "== obs disabled-overhead gate (< 1% of decode, release) =="
+echo "== obs disabled-overhead gate (kernels read the clock only via rpf_obs::ops::start; start + record < 1% of decode, release) =="
+echo "-- kernel clock check: no Instant::now or counters:: in crates/tensor/src"
+if grep -rnE 'Instant::now|counters::' crates/tensor/src; then
+  echo "kernel clock check failed: time kernels with rpf_obs::ops::start / ops::record" >&2
+  exit 1
+fi
 cargo test -q -p rpf-bench --test obs_overhead --release --offline
 
 echo "== decode perf gate (batched beats the tape reference, > 3.4x at batch 16, > 5.5x at 100, release) =="
