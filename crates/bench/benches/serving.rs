@@ -177,7 +177,8 @@ fn shard_mix() -> MultiRaceMix {
 }
 
 /// Closed-loop pass through the sharded front router: requests hash to
-/// per-race serving shards, each with its own forked engine and workers.
+/// per-race serving shards, each with its own engine (shard 0 the
+/// caller's, the rest forks) and workers.
 fn run_sharded(
     engine: &ForecastEngine,
     refs: &[&RaceContext],

@@ -21,9 +21,9 @@
 //! [`serve_http`] mirrors [`rpf_serve::serve`]: a scoped region that owns
 //! its threads (acceptor + connection workers) and fully drains before it
 //! returns. The backend is anything implementing
-//! [`rpf_serve::Submitter`] — the flat [`rpf_serve::ServeClient`], the
-//! sharded router client, or a test stub — so the gateway nests directly
-//! inside a serving region:
+//! [`rpf_serve::Submitter`] — a serving region's
+//! [`rpf_serve::ServeClient`] (one shard or many) or a test stub — so the
+//! gateway nests directly inside a serving region:
 //!
 //! ```text
 //! serve(&engine, &contexts, &cfg, |client| {

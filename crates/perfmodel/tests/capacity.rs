@@ -43,7 +43,7 @@ fn profile_one_shard() -> ShardProfile {
         .map(|(t, req)| (t.as_nanos() as u64, req))
         .collect();
     let run = replay_sharded(&serve_cfg(), 1, &script, &svc());
-    let merged = run.merged();
+    let merged = run.snapshot.merged();
     assert_eq!(merged.completed, 256, "saturation run must complete fully");
     ShardProfile::from_trace(merged.completed, run.makespan_ns)
 }
@@ -69,7 +69,7 @@ fn demand_script() -> Vec<(u64, rpf_serve::ServeRequest)> {
 fn minimal_shards_by_replay(script: &[(u64, rpf_serve::ServeRequest)], p99_ns: u64) -> u64 {
     for shards in 1..=16usize {
         let run = replay_sharded(&serve_cfg(), shards, script, &svc());
-        let merged = run.merged();
+        let merged = run.snapshot.merged();
         assert_eq!(
             merged.rejected_queue_full, 0,
             "queue sized to never clip at {shards} shards"

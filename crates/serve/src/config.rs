@@ -2,7 +2,8 @@
 
 use std::time::Duration;
 
-/// Scheduler configuration for [`crate::serve`].
+/// Scheduler configuration for [`crate::serve`], applied to every shard of
+/// [`crate::serve_sharded`].
 ///
 /// None of these knobs can change a forecast value — they move requests
 /// between batches and workers, and the engine's determinism contract
@@ -45,17 +46,17 @@ impl ServeConfig {
 }
 
 /// Shard layout for [`crate::serve_sharded`]: how many race shards the
-/// region splits into. Kept separate from [`ServeConfig`] (which applies
-/// per shard) so the flat scheduler's configuration surface is untouched.
+/// region splits into. Kept separate from [`ServeConfig`], which applies
+/// per shard; [`crate::serve`] is the one-shard layout.
 ///
 /// Like the scheduler knobs, the topology cannot change a forecast value:
-/// every shard runs a fork of the same engine with the same seed, and the
-/// router only decides *where* a request is served, never *what* it
-/// answers.
+/// shard 0 runs the caller's engine and every other shard a fork with the
+/// same seed, and the router only decides *where* a request is served,
+/// never *what* it answers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardTopology {
     /// Number of race shards (each with its own engine, mailbox, workers
-    /// and supervisor).
+    /// and supervisor; shard 0's engine is the caller's).
     pub shards: usize,
 }
 

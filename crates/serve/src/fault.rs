@@ -1,7 +1,9 @@
 //! Deterministic fault injection for the serving scheduler (behind the
 //! `fault-inject` feature), mirroring `rpf_nn::fault`: tests *plan* faults
 //! at exact request ids, and the production scheduler paths hit them for
-//! real — a worker panic mid-batch, a queue mutex poisoned while held.
+//! real — a worker panic mid-batch, a queue mutex poisoned while held, a
+//! shard worker killed. Faults that target a place name a shard index;
+//! the flat `serve()` region is shard 0.
 //! Plans are keyed by the admission id (assigned in submission order),
 //! never by wall clock, so a fault fires at the same request on every run.
 
@@ -12,7 +14,6 @@ use std::sync::{Arc, Mutex};
 #[derive(Clone, Default)]
 pub struct ServeFaultPlan {
     panic_requests: BTreeSet<u64>,
-    poison_queue_once: bool,
     /// `(admission id, hook)` — fire the hook once, from the worker thread,
     /// while the batch containing that admission sits between formation
     /// and its engine call.
@@ -31,7 +32,6 @@ impl std::fmt::Debug for ServeFaultPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeFaultPlan")
             .field("panic_requests", &self.panic_requests)
-            .field("poison_queue_once", &self.poison_queue_once)
             .field("swap_at", &self.swap_hook.as_ref().map(|(id, _)| *id))
             .field("kill_worker", &self.kill_worker)
             .field("poison_shard", &self.poison_shard)
@@ -53,13 +53,6 @@ impl ServeFaultPlan {
         self
     }
 
-    /// Panic the next worker that takes the queue lock, while it holds the
-    /// guard — poisoning the mutex for everyone after it. Fires once.
-    pub fn poison_queue_once(mut self) -> ServeFaultPlan {
-        self.poison_queue_once = true;
-        self
-    }
-
     /// Run `hook` from the worker thread serving admission id `id`, while
     /// that batch is mid-flight (formed, engine not yet called). The hook
     /// typically performs a model hot-swap — pair it with
@@ -76,17 +69,18 @@ impl ServeFaultPlan {
         self
     }
 
-    /// Kill the worker on `shard` as it is about to drain a batch holding
-    /// admission id `id`: the worker dies with the entries still queued, so
-    /// the shard's supervisor must fallback-drain the backlog and respawn.
-    /// Fires once.
+    /// Kill the worker on `shard` (0 for the flat `serve()` region) as it
+    /// is about to drain a batch holding admission id `id`: the worker dies
+    /// with the entries still queued, so the shard's supervisor must
+    /// fallback-drain the backlog and respawn. Fires once.
     pub fn kill_shard_worker(mut self, shard: usize, id: u64) -> ServeFaultPlan {
         self.kill_worker = Some((shard, id));
         self
     }
 
-    /// Poison the mailbox mutex of `shard` — the sharded analogue of
-    /// [`ServeFaultPlan::poison_queue_once`]. Fires once.
+    /// Panic the next worker on `shard` (0 for the flat `serve()` region)
+    /// that takes the mailbox lock, while it holds the guard — poisoning
+    /// the mutex for everyone after it. Fires once.
     pub fn poison_shard_mailbox(mut self, shard: usize) -> ServeFaultPlan {
         self.poison_shard = Some(shard);
         self
@@ -150,18 +144,13 @@ pub fn maybe_fire_swap(id: u64) {
 }
 
 /// Queue hook: panics while the caller holds its mailbox guard, leaving
-/// the mutex poisoned behind it. Fires on the legacy region-wide
-/// `poison_queue_once` flag, or — under sharded serving — when the plan
-/// targets this worker's shard. Consumes whichever flag fired.
-pub fn maybe_poison_queue_lock(shard: Option<usize>) {
+/// the mutex poisoned behind it, when the plan targets this worker's
+/// shard. Consumes the fault.
+pub fn maybe_poison_queue_lock(shard: usize) {
     let fire = {
         let mut guard = plan_lock();
         match guard.as_mut() {
-            Some(p) if p.poison_queue_once => {
-                p.poison_queue_once = false;
-                true
-            }
-            Some(p) if p.poison_shard.is_some() && p.poison_shard == shard => {
+            Some(p) if p.poison_shard == Some(shard) => {
                 p.poison_shard = None;
                 true
             }
@@ -177,12 +166,12 @@ pub fn maybe_poison_queue_lock(shard: Option<usize>) {
 /// would drain these admission ids? Consumes the fault on a match. Called
 /// *before* the drain, so the targeted entries stay queued for the
 /// supervisor's fallback drain.
-pub fn should_kill_worker(shard: Option<usize>, ids: &[u64]) -> bool {
+pub fn should_kill_worker(shard: usize, ids: &[u64]) -> bool {
     let mut guard = plan_lock();
     match guard.as_mut() {
         Some(p)
             if p.kill_worker
-                .is_some_and(|(s, id)| Some(s) == shard && ids.contains(&id)) =>
+                .is_some_and(|(s, id)| s == shard && ids.contains(&id)) =>
         {
             p.kill_worker = None;
             true

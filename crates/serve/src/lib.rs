@@ -24,12 +24,14 @@
 //!   ([`loadgen`]), a virtual-clock scheduler replay for golden metrics
 //!   ([`replay`]), and (behind `fault-inject`) planned scheduler faults
 //!   ([`fault`]).
-//! * **Race-sharded scale-out** — [`serve_sharded`] splits the region
-//!   into shards (DESIGN.md §15), each an actor owning a forked engine,
-//!   model slot and encoder cache behind its own bounded mailbox with a
-//!   supervisor; a front router ([`shard_of`]) hashes `(race, origin)`
-//!   keys to shards. For a fixed layout every response stays bit-identical
-//!   to the flat path; a failed shard degrades to flagged CurRank
+//! * **One region, race-sharded** — every entry point runs the same
+//!   region (DESIGN.md §15): a set of shards, each an actor with its own
+//!   engine, model slot and encoder cache behind a bounded mailbox and a
+//!   supervisor, fronted by a router ([`shard_of`]) that hashes
+//!   `(race, origin)` keys to shards. Shard 0 serves on the caller's
+//!   engine and the others on forks; [`serve`] is the one-shard case of
+//!   [`serve_sharded`]. For any layout every response stays bit-identical
+//!   to a direct call; a failed shard degrades to flagged CurRank
 //!   fallbacks and restarts while the others serve untouched.
 //!
 //! ```no_run
@@ -70,8 +72,8 @@ pub use replay::{
     percentile_ns, replay, replay_sharded, replay_with_events, ReplayEvent, ServiceModel,
     ShardedReplay,
 };
-pub use router::{serve_sharded, shard_of, ShardedClient};
+pub use router::{serve_sharded, shard_of, ServeClient};
 pub use server::{
-    serve, serve_with_lifecycle, FallbackReason, ServeClient, ServeError, ServeRequest,
-    ServeResponse, ServeResult, SubmitError,
+    serve, serve_with_lifecycle, FallbackReason, ServeError, ServeRequest, ServeResponse,
+    ServeResult, SubmitError,
 };

@@ -193,6 +193,8 @@ impl LifecycleController {
     /// advances `CURRENT` and counts one swap. In-flight batches on each
     /// shard finish on whichever version their engine loaded — the slot
     /// swap is atomic per shard, so no request ever sees a torn model.
+    /// Slot 0 of [`crate::ServeClient::slots`] is the caller's engine's,
+    /// so a successful roll moves that engine to `version` too.
     pub fn rolling_swap(
         &self,
         slots: &[Arc<ModelSlot>],

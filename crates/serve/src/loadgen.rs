@@ -9,16 +9,15 @@
 //! determinism contract makes that variation invisible in the response
 //! bits.
 
-use crate::mailbox::Pending;
-use crate::server::{ServeClient, ServeRequest, ServeResult, SubmitError};
+use crate::server::{ServeRequest, ServeResult, SubmitError};
 use rand::Rng;
 use rpf_nn::RngStreams;
 use std::time::{Duration, Instant};
 
-/// Anything a load driver can submit to: the flat [`ServeClient`], the
-/// sharded router client, or a wire transport (the HTTP submitter in
-/// `rpf-gateway`). `Copy` so closed-loop drivers can hand the handle to
-/// every client thread.
+/// Anything a load driver can submit to: a serving region's
+/// [`ServeClient`](crate::ServeClient) (flat or sharded), or a wire
+/// transport (the HTTP submitter in `rpf-gateway`). `Copy` so closed-loop
+/// drivers can hand the handle to every client thread.
 ///
 /// Submission is split into an admission step and a wait step because a
 /// remote transport may only learn the admission verdict when it reads the
@@ -36,18 +35,6 @@ pub trait Submitter: Copy + Send + Sync {
 
     /// Block until the ticket resolves.
     fn wait(pending: Self::Pending) -> Result<ServeResult, SubmitError>;
-}
-
-impl Submitter for ServeClient<'_, '_> {
-    type Pending = Pending;
-
-    fn submit(&self, req: ServeRequest) -> Result<Pending, SubmitError> {
-        ServeClient::submit(self, req)
-    }
-
-    fn wait(pending: Pending) -> Result<ServeResult, SubmitError> {
-        Ok(pending.wait())
-    }
 }
 
 /// The request population of a load script.

@@ -1,12 +1,11 @@
 //! The bounded mailbox: admission queue + one-shot response slots.
 //!
-//! Extracted from the flat scheduler so the unsharded serving region and
-//! every race shard run the *same* admission code: a shard actor is a
-//! [`Mailbox`] plus worker threads plus a supervisor, and the flat region
-//! is the one-mailbox special case. Admission is all-or-nothing — a
-//! submission either enters the queue (and will be answered, because
-//! workers drain on shutdown and supervisors fallback-drain on failure)
-//! or is refused with a typed [`SubmitError`] before any state changes.
+//! Every race shard owns one: a shard actor is a [`Mailbox`] plus worker
+//! threads plus a supervisor, and the flat `serve()` region is the
+//! one-shard case. Admission is all-or-nothing — a submission either
+//! enters the queue (and will be answered, because workers drain on
+//! shutdown and supervisors fallback-drain on failure) or is refused with
+//! a typed [`SubmitError`] before any state changes.
 //!
 //! Queue state is plain data with no invariants a panicking holder could
 //! break mid-update, so every lock here recovers a poisoned guard
@@ -43,8 +42,8 @@ pub struct Pending {
 }
 
 impl Pending {
-    /// Admission id — unique within its region (per shard, under sharded
-    /// serving), assigned in submission order.
+    /// Admission id — unique within its shard, assigned in submission
+    /// order.
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -78,9 +77,9 @@ pub(crate) struct MailboxState {
     next_id: u64,
 }
 
-/// Bounded MPSC admission queue for one serving region (the flat region
-/// or one race shard). Capacity overflow maps to
-/// [`SubmitError::QueueFull`] — the shard-level backpressure signal.
+/// Bounded MPSC admission queue for one race shard. Capacity overflow
+/// maps to [`SubmitError::QueueFull`] — the shard-level backpressure
+/// signal.
 pub(crate) struct Mailbox {
     state: Mutex<MailboxState>,
     pub(crate) wakeup: Condvar,
@@ -166,11 +165,6 @@ impl Mailbox {
     /// the panic into a deadlock.
     pub(crate) fn close_on_drop(&self) -> CloseOnDrop<'_> {
         CloseOnDrop(self)
-    }
-
-    /// Requests admitted and not yet picked up by a worker.
-    pub(crate) fn depth(&self) -> usize {
-        self.lock().entries.len()
     }
 
     /// Take every queued entry at once — the supervisor's containment

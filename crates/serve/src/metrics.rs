@@ -457,7 +457,8 @@ impl MetricsSnapshot {
 }
 
 /// The metrics of one sharded serving region: every shard's snapshot in
-/// shard order, merged on demand. Returned by [`crate::serve_sharded`].
+/// shard order, merged on demand. Returned by [`crate::serve_sharded`]
+/// and carried by the virtual-clock [`crate::ShardedReplay`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardedSnapshot {
     pub per_shard: Vec<MetricsSnapshot>,
@@ -486,8 +487,8 @@ impl ShardedSnapshot {
     }
 
     /// Workspace-wide exposition form: merged samples unlabelled (the
-    /// fleet totals, name-compatible with the unsharded region) plus every
-    /// shard's samples labelled `{shard="i"}`.
+    /// fleet totals, name-compatible with the flat `serve()` snapshot)
+    /// plus every shard's samples labelled `{shard="i"}`.
     pub fn to_obs(&self) -> rpf_obs::MetricsSnapshot {
         let mut obs = self.merged().to_obs();
         for (i, s) in self.per_shard.iter().enumerate() {

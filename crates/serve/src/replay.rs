@@ -16,7 +16,7 @@
 //! simultaneous events deterministic.
 
 use crate::config::ServeConfig;
-use crate::metrics::{MetricsSnapshot, ResponseKind, ServeMetrics};
+use crate::metrics::{MetricsSnapshot, ResponseKind, ServeMetrics, ShardedSnapshot};
 use crate::policy::{self, deadline_expired, Step};
 use crate::server::ServeRequest;
 use std::collections::VecDeque;
@@ -153,14 +153,16 @@ fn replay_core(
     }
 }
 
-/// The outcome of [`replay_sharded`]: per-shard snapshots plus the
-/// fleet-wide latency population and virtual makespan. Deterministic —
-/// the same script and layout replay to these exact numbers on any
-/// machine, which is what lets a scaling gate and the capacity planner's
-/// round-trip test run in CI without touching the wall clock.
+/// The outcome of [`replay_sharded`]: the same per-shard snapshot a live
+/// [`crate::serve_sharded`] region returns, plus the fleet-wide latency
+/// population and virtual makespan. Deterministic — the same script and
+/// layout replay to these exact numbers on any machine, which is what
+/// lets a scaling gate and the capacity planner's round-trip test run in
+/// CI without touching the wall clock.
 #[derive(Clone, Debug)]
 pub struct ShardedReplay {
-    pub per_shard: Vec<MetricsSnapshot>,
+    /// Every shard's counters, in shard order.
+    pub snapshot: ShardedSnapshot,
     /// Every shard's response latencies, merged and sorted ascending.
     pub latencies_ns: Vec<u64>,
     /// Virtual end-to-end duration: the latest instant any shard finished
@@ -169,18 +171,9 @@ pub struct ShardedReplay {
 }
 
 impl ShardedReplay {
-    /// Fleet-wide counter totals.
-    pub fn merged(&self) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot::default();
-        for s in &self.per_shard {
-            out.merge(s);
-        }
-        out
-    }
-
     /// Virtual throughput: completed responses per virtual second.
     pub fn completed_per_sec(&self) -> f64 {
-        let completed = self.merged().completed;
+        let completed = self.snapshot.merged().completed;
         if self.makespan_ns == 0 {
             0.0
         } else {
@@ -207,8 +200,8 @@ pub fn percentile_ns(sorted: &[u64], q: f64) -> u64 {
 /// Replay `schedule` across `shards` virtual regions: each arrival goes to
 /// the shard [`crate::shard_of`] routes it to (preserving script order
 /// within a shard), each shard replays independently under `cfg` and
-/// `svc` — one virtual worker per shard, exactly as [`replay`] models the
-/// flat scheduler — and the outcomes merge into a [`ShardedReplay`].
+/// `svc` — one virtual worker per shard, exactly as [`replay`] models one
+/// shard — and the outcomes merge into a [`ShardedReplay`].
 pub fn replay_sharded(
     cfg: &ServeConfig,
     shards: usize,
@@ -231,7 +224,7 @@ pub fn replay_sharded(
     }
     latencies.sort_unstable();
     ShardedReplay {
-        per_shard,
+        snapshot: ShardedSnapshot { per_shard },
         latencies_ns: latencies,
         makespan_ns: makespan,
     }
@@ -372,8 +365,8 @@ mod tests {
         let sched: Vec<(u64, ServeRequest)> = (0..10).map(|i| (i * 400, req())).collect();
         let flat = replay(&cfg(), &sched, &SVC);
         let sharded = replay_sharded(&cfg(), 1, &sched, &SVC);
-        assert_eq!(sharded.per_shard.len(), 1);
-        assert_eq!(sharded.merged(), flat);
+        assert_eq!(sharded.snapshot.per_shard.len(), 1);
+        assert_eq!(sharded.snapshot.merged(), flat);
     }
 
     #[test]
@@ -387,7 +380,7 @@ mod tests {
             })
             .collect();
         let sharded = replay_sharded(&cfg(), 4, &sched, &SVC);
-        let merged = sharded.merged();
+        let merged = sharded.snapshot.merged();
         assert_eq!(merged.submitted, 40);
         assert_eq!(merged.completed, merged.accepted);
         assert_eq!(sharded.latencies_ns.len() as u64, merged.completed);
@@ -396,7 +389,7 @@ mod tests {
         assert!(sharded.p99_ns() >= percentile_ns(&sharded.latencies_ns, 0.5));
         // Determinism: replaying the identical script is bit-identical.
         let again = replay_sharded(&cfg(), 4, &sched, &SVC);
-        assert_eq!(again.per_shard, sharded.per_shard);
+        assert_eq!(again.snapshot.per_shard, sharded.snapshot.per_shard);
         assert_eq!(again.latencies_ns, sharded.latencies_ns);
     }
 

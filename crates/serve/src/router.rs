@@ -1,27 +1,30 @@
-//! The front router: hash `(race, origin)` keys to race shards and run a
-//! sharded serving region.
+//! The front router and the serving region: hash `(race, origin)` keys to
+//! race shards, and run the one region every entry point
+//! ([`crate::serve`], [`crate::serve_with_lifecycle`], [`serve_sharded`])
+//! goes through. The flat `serve()` region is the one-shard layout.
 //!
 //! # Determinism contract for a fixed layout
 //!
 //! For a fixed `(shard_count, layout)` every response is bit-identical to
-//! the unsharded path: [`shard_of`] is a pure FNV-1a hash of the request
-//! key, each shard serves a [`ForecastEngine::fork`] carrying the live
-//! seed/thread/cache sizing, and the engine keys every draw on
-//! `(seed, race, origin)` — so *where* a request is served is invisible
-//! in *what* it answers. Changing the shard count re-partitions the key
-//! space (and re-numbers per-shard admission ids) but still cannot change
-//! forecast bits.
+//! a direct engine call: [`shard_of`] is a pure FNV-1a hash of the request
+//! key, shard 0 serves on the caller's engine and every other shard on a
+//! [`ForecastEngine::fork`] carrying the live seed/thread/cache sizing,
+//! and the engine keys every draw on `(seed, race, origin)` — so *where*
+//! a request is served is invisible in *what* it answers. Changing the
+//! shard count re-partitions the key space (and re-numbers per-shard
+//! admission ids) but still cannot change forecast bits.
 //!
 //! # Backpressure and failure
 //!
 //! Each shard's mailbox is bounded at `cfg.queue_capacity`; overflow on
-//! the target shard surfaces as the same [`SubmitError::QueueFull`] the
-//! flat scheduler returns — a hot shard rejects while cold shards keep
-//! admitting. A shard whose worker dies is contained by its supervisor
-//! (backlog answered as flagged CurRank fallbacks, worker respawned)
-//! while every other shard serves bit-identically (`supervisor.rs`).
+//! the target shard surfaces as [`SubmitError::QueueFull`] — a hot shard
+//! rejects while cold shards keep admitting. A shard whose worker dies is
+//! contained by its supervisor (backlog answered as flagged CurRank
+//! fallbacks, worker respawned) while every other shard serves
+//! bit-identically (`supervisor.rs`).
 
 use crate::config::{ServeConfig, ShardTopology};
+use crate::lifecycle::LifecycleController;
 use crate::loadgen::Submitter;
 use crate::mailbox::Pending;
 use crate::metrics::ShardedSnapshot;
@@ -53,25 +56,27 @@ pub fn shard_of(race: usize, origin: usize, shards: usize) -> usize {
     (h % shards as u64) as usize
 }
 
-/// Submission handle over a sharded region; `Copy`, like
-/// [`ServeClient`](crate::ServeClient).
+/// Submission handle passed to a serving region's body; `Copy`, so it can
+/// be handed to any number of client threads inside the scope. Every
+/// submission is routed to its shard's mailbox by [`shard_of`].
 #[derive(Clone, Copy)]
-pub struct ShardedClient<'s, 'a> {
+pub struct ServeClient<'s, 'a> {
     shards: &'s [Shard<'a>],
 }
 
-impl<'s, 'a> ShardedClient<'s, 'a> {
+impl<'s, 'a> ServeClient<'s, 'a> {
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
-    /// Which shard [`ShardedClient::submit`] would route `req` to.
+    /// Which shard [`ServeClient::submit`] would route `req` to.
     pub fn shard_of(&self, req: &ServeRequest) -> usize {
         shard_of(req.race, req.origin, self.shards.len())
     }
 
-    /// Route to the target shard's mailbox. All-or-nothing, per shard:
-    /// `QueueFull` means *that shard* is at capacity.
+    /// Submit without blocking on the forecast. Admission is all-or-nothing,
+    /// per shard: `Ok` means the request is queued on its shard and will be
+    /// answered; `QueueFull` means *that shard* is at capacity.
     pub fn submit(&self, req: ServeRequest) -> Result<Pending, SubmitError> {
         let shard = &self.shards[self.shard_of(&req)];
         shard.shared.mailbox.submit(req, &shard.shared.metrics)
@@ -82,24 +87,9 @@ impl<'s, 'a> ShardedClient<'s, 'a> {
         self.submit(req).map(Pending::wait)
     }
 
-    /// Live per-shard counter snapshots.
-    pub fn metrics(&self) -> ShardedSnapshot {
-        ShardedSnapshot {
-            per_shard: self
-                .shards
-                .iter()
-                .map(|s| s.shared.metrics.snapshot())
-                .collect(),
-        }
-    }
-
-    /// Current submission-queue depth of shard `i`.
-    pub fn shard_queue_depth(&self, i: usize) -> usize {
-        self.shards[i].shared.mailbox.depth()
-    }
-
     /// Every shard's model slot, in shard order — the handles a rolling
-    /// hot-swap walks (`LifecycleController::rolling_swap`).
+    /// hot-swap walks (`LifecycleController::rolling_swap`). Shard 0's slot
+    /// is the caller's engine's slot.
     pub fn slots(&self) -> Vec<Arc<ModelSlot>> {
         self.shards
             .iter()
@@ -108,11 +98,11 @@ impl<'s, 'a> ShardedClient<'s, 'a> {
     }
 }
 
-impl Submitter for ShardedClient<'_, '_> {
+impl Submitter for ServeClient<'_, '_> {
     type Pending = Pending;
 
     fn submit(&self, req: ServeRequest) -> Result<Pending, SubmitError> {
-        ShardedClient::submit(self, req)
+        ServeClient::submit(self, req)
     }
 
     fn wait(pending: Pending) -> Result<ServeResult, SubmitError> {
@@ -120,27 +110,41 @@ impl Submitter for ShardedClient<'_, '_> {
     }
 }
 
-/// Run a race-sharded serving region: fork `engine` once per shard, spawn
-/// each shard's supervisor (which spawns and watches the shard's
-/// workers), hand the body a routing [`ShardedClient`], and on return
-/// close every mailbox, drain, join, and report per-shard metrics.
-///
-/// `topo.shards == 1` is the flat scheduler with one level of supervision
-/// added; responses are bit-identical to [`crate::serve`] either way.
+/// Run a race-sharded serving region: shard 0 serves on `engine`, every
+/// other shard on its own fork. Spawns each shard's supervisor (which
+/// spawns and watches the shard's workers), hands the body a routing
+/// [`ServeClient`], and on return closes every mailbox, drains, joins,
+/// and reports per-shard metrics. Responses are bit-identical to
+/// [`crate::serve`] for any shard count.
 pub fn serve_sharded<R>(
     engine: &ForecastEngine,
     contexts: &[&RaceContext],
     cfg: &ServeConfig,
     topo: ShardTopology,
-    body: impl FnOnce(ShardedClient<'_, '_>) -> R,
+    body: impl FnOnce(ServeClient<'_, '_>) -> R,
+) -> (R, ShardedSnapshot) {
+    region(engine, contexts, cfg, topo, None, body)
+}
+
+/// The serving region behind every entry point. `lifecycle`, when given,
+/// is attached to shard 0 — the shard serving on the caller's `engine`,
+/// whose slot its promotions swap. A panicking body closes admission too,
+/// so the panic reaches the caller once the workers have drained.
+pub(crate) fn region<R>(
+    engine: &ForecastEngine,
+    contexts: &[&RaceContext],
+    cfg: &ServeConfig,
+    topo: ShardTopology,
+    lifecycle: Option<&LifecycleController>,
+    body: impl FnOnce(ServeClient<'_, '_>) -> R,
 ) -> (R, ShardedSnapshot) {
     let cfg = cfg.normalized();
     let topo = topo.normalized();
-    let engines: Vec<ForecastEngine> = (0..topo.shards).map(|_| engine.fork()).collect();
-    let shards: Vec<Shard<'_>> = engines
-        .iter()
+    let forks: Vec<ForecastEngine> = (1..topo.shards).map(|_| engine.fork()).collect();
+    let shards: Vec<Shard<'_>> = std::iter::once(engine)
+        .chain(&forks)
         .enumerate()
-        .map(|(i, eng)| Shard::new(i, eng, contexts, cfg))
+        .map(|(i, eng)| Shard::new(i, eng, contexts, cfg, lifecycle.filter(|_| i == 0)))
         .collect();
 
     let out = std::thread::scope(|s| {
@@ -151,15 +155,18 @@ pub fn serve_sharded<R>(
             .iter()
             .map(|shard| shard.shared.mailbox.close_on_drop())
             .collect();
-        let out = body(ShardedClient { shards: &shards });
+        let out = body(ServeClient { shards: &shards });
         drop(closers);
         out
     });
     for shard in &shards {
-        shard
-            .shared
-            .metrics
-            .set_model_version(shard.shared.engine.model_version());
+        let shared = &shard.shared;
+        match shared.lifecycle {
+            Some(lc) => lc.flush_into(&shared.metrics, shared.engine),
+            None => shared
+                .metrics
+                .set_model_version(shared.engine.model_version()),
+        }
     }
     (
         out,

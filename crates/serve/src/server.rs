@@ -1,5 +1,7 @@
 //! The scheduler: bounded admission, dynamic micro-batching, worker
-//! threads, per-request deadlines, and panic containment.
+//! threads, per-request deadlines, and panic containment — what one shard
+//! runs. Every serving region, flat [`serve`] included, is a set of these
+//! shards behind the router (`router.rs`); `serve` is the one-shard case.
 //!
 //! # Determinism contract
 //!
@@ -10,10 +12,10 @@
 //! [`ForecastEngine::try_forecast_keyed`] call no matter which batch it
 //! lands in, which worker runs it, or in what order requests arrived.
 //! Batching, worker count and arrival jitter move *time*, never bits.
-//! The same invariant extends to shard placement: the sharded front
-//! ([`crate::serve_sharded`]) runs this exact scheduler once per shard
-//! over a forked engine with the same seed, so which shard a request
-//! hashes to is equally invisible in the output bits.
+//! The same invariant extends to shard placement: shard 0 runs this
+//! scheduler on the caller's engine and every other shard on a fork with
+//! the same seed, so which shard a request hashes to is equally invisible
+//! in the output bits.
 //!
 //! # Failure model
 //!
@@ -30,21 +32,21 @@
 //!   is dropped.
 //! * **Poisoned queue mutex** — every queue lock recovers a poisoned
 //!   guard (`into_inner`); queue state is plain data, so recovery is safe.
-//! * **Shard worker death** — under sharded serving, a panic that escapes
-//!   the containment above (only an injected kill can produce one — every
-//!   real unwind path inside a batch is caught) reaches the shard's
-//!   supervisor, which fallback-drains the backlog with
-//!   [`FallbackReason::ShardFailure`] and respawns the worker
-//!   (`supervisor.rs`); other shards are untouched.
+//! * **Shard worker death** — a panic that escapes the containment above
+//!   (only an injected kill can produce one — every real unwind path
+//!   inside a batch is caught) reaches the shard's supervisor, which
+//!   fallback-drains the backlog with [`FallbackReason::ShardFailure`] and
+//!   respawns the worker (`supervisor.rs`); other shards are untouched.
 //! * **Shutdown** — when the body closure returns, admission closes
 //!   ([`SubmitError::ShuttingDown`]) and workers drain every queued
 //!   request before exiting: accepted always implies answered.
 
-use crate::config::ServeConfig;
+use crate::config::{ServeConfig, ShardTopology};
 use crate::lifecycle::LifecycleController;
-use crate::mailbox::{Entry, Mailbox, Pending};
+use crate::mailbox::{Entry, Mailbox};
 use crate::metrics::{MetricsSnapshot, ResponseKind, ServeMetrics};
 use crate::policy::{self, deadline_expired, Step};
+use crate::router::{region, ServeClient};
 use ranknet_core::engine::{
     currank_forecast, EngineError, EngineForecast, ForecastEngine, ForecastRequest,
 };
@@ -99,8 +101,8 @@ pub enum FallbackReason {
 /// A served forecast.
 #[derive(Clone, Debug)]
 pub struct ServeResponse {
-    /// Admission id — unique within its region (per shard, under sharded
-    /// serving), assigned in submission order.
+    /// Admission id — unique within its shard, assigned in submission
+    /// order.
     pub id: u64,
     pub forecast: EngineForecast,
     /// `Some` when the model never ran and the CurRank fallback answered.
@@ -152,7 +154,7 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// One serving region's shared state: the flat region or one race shard.
+/// One shard's shared state (the flat region is shard 0 of one).
 pub(crate) struct Shared<'a> {
     pub(crate) engine: &'a ForecastEngine,
     pub(crate) contexts: &'a [&'a RaceContext],
@@ -160,13 +162,13 @@ pub(crate) struct Shared<'a> {
     pub(crate) mailbox: Mailbox,
     pub(crate) metrics: ServeMetrics,
     /// Shadow-evaluation / hot-swap controller, when serving under
-    /// [`serve_with_lifecycle`].
+    /// [`serve_with_lifecycle`] (attached to shard 0 only).
     pub(crate) lifecycle: Option<&'a LifecycleController>,
-    /// Shard index under sharded serving; `None` in the flat region. Used
-    /// only for fault targeting — never for scheduling decisions, which is
-    /// what keeps placement invisible in the output bits.
+    /// Shard index. Used only for fault targeting — never for scheduling
+    /// decisions, which is what keeps placement invisible in the output
+    /// bits.
     #[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
-    pub(crate) shard: Option<usize>,
+    pub(crate) shard: usize,
 }
 
 impl<'a> Shared<'a> {
@@ -175,7 +177,7 @@ impl<'a> Shared<'a> {
         contexts: &'a [&'a RaceContext],
         cfg: ServeConfig,
         lifecycle: Option<&'a LifecycleController>,
-        shard: Option<usize>,
+        shard: usize,
     ) -> Shared<'a> {
         Shared {
             engine,
@@ -189,44 +191,14 @@ impl<'a> Shared<'a> {
     }
 }
 
-/// Submission handle passed to the [`serve`] body; `Copy`, so it can be
-/// handed to any number of client threads inside the scope.
-#[derive(Clone, Copy)]
-pub struct ServeClient<'s, 'a> {
-    shared: &'s Shared<'a>,
-}
-
-impl ServeClient<'_, '_> {
-    /// Submit without blocking on the forecast. Admission is all-or-nothing:
-    /// `Ok` means the request is queued and will be answered; `Err` means
-    /// it never entered the queue.
-    pub fn submit(&self, req: ServeRequest) -> Result<Pending, SubmitError> {
-        self.shared.mailbox.submit(req, &self.shared.metrics)
-    }
-
-    /// Submit and block until the response arrives.
-    pub fn forecast(&self, req: ServeRequest) -> Result<ServeResult, SubmitError> {
-        self.submit(req).map(Pending::wait)
-    }
-
-    /// Live counter snapshot.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
-    }
-
-    /// Current submission-queue depth (requests admitted, not yet picked
-    /// up by a worker).
-    pub fn queue_depth(&self) -> usize {
-        self.shared.mailbox.depth()
-    }
-}
-
-/// Run a serving scope: spawn `cfg.workers` scheduler threads over
-/// `engine`, hand the body a [`ServeClient`], and on return close
-/// admission, drain the queue, join the workers, and report the final
-/// metrics. A panicking body closes admission too, so the panic reaches
-/// the caller once the workers have drained. Requests reference
-/// `contexts` by index, exactly like
+/// Run a serving scope over `engine`: the one-shard case of
+/// [`crate::serve_sharded`], served on `engine` itself (so its timings,
+/// cache and model slot are the region's). Spawns the shard's supervisor
+/// and its `cfg.workers` scheduler threads, hands the body a
+/// [`ServeClient`], and on return closes admission, drains the queue,
+/// joins the workers, and reports the final metrics. A panicking body
+/// closes admission too, so the panic reaches the caller once the workers
+/// have drained. Requests reference `contexts` by index, exactly like
 /// [`ForecastEngine::forecast_batch_entries`].
 pub fn serve<R>(
     engine: &ForecastEngine,
@@ -234,7 +206,8 @@ pub fn serve<R>(
     cfg: &ServeConfig,
     body: impl FnOnce(ServeClient<'_, '_>) -> R,
 ) -> (R, MetricsSnapshot) {
-    serve_inner(engine, contexts, cfg, None, body)
+    let (out, snapshot) = region(engine, contexts, cfg, ShardTopology::new(1), None, body);
+    (out, snapshot.merged())
 }
 
 /// [`serve`] with a model-lifecycle controller attached: while a candidate
@@ -251,34 +224,9 @@ pub fn serve_with_lifecycle<R>(
     lifecycle: &LifecycleController,
     body: impl FnOnce(ServeClient<'_, '_>) -> R,
 ) -> (R, MetricsSnapshot) {
-    serve_inner(engine, contexts, cfg, Some(lifecycle), body)
-}
-
-fn serve_inner<R>(
-    engine: &ForecastEngine,
-    contexts: &[&RaceContext],
-    cfg: &ServeConfig,
-    lifecycle: Option<&LifecycleController>,
-    body: impl FnOnce(ServeClient<'_, '_>) -> R,
-) -> (R, MetricsSnapshot) {
-    let cfg = cfg.normalized();
-    let shared = Shared::new(engine, contexts, cfg, lifecycle, None);
-
-    let out = std::thread::scope(|s| {
-        for _ in 0..cfg.workers {
-            s.spawn(|| worker_loop(&shared));
-        }
-        let closer = shared.mailbox.close_on_drop();
-        let out = body(ServeClient { shared: &shared });
-        drop(closer);
-        out
-    });
-    if let Some(lc) = lifecycle {
-        lc.flush_into(&shared.metrics, engine);
-    } else {
-        shared.metrics.set_model_version(engine.model_version());
-    }
-    (out, shared.metrics.snapshot())
+    let topo = ShardTopology::new(1);
+    let (out, snapshot) = region(engine, contexts, cfg, topo, Some(lifecycle), body);
+    (out, snapshot.merged())
 }
 
 /// What a worker found when it asked the mailbox for work.

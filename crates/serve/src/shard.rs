@@ -1,16 +1,17 @@
-//! One race shard: an actor owning a forked engine, its model slot and
-//! encoder cache, behind a bounded [`Mailbox`](crate::mailbox::Mailbox).
+//! One race shard: an actor serving on one engine — the caller's for
+//! shard 0, a fork for every other shard — with that engine's model slot
+//! and encoder cache, behind a bounded [`Mailbox`](crate::mailbox::Mailbox).
 //!
-//! A shard *is* the flat scheduler scoped to a subset of the key space:
-//! its [`Shared`] region is the same struct `serve` builds, its workers
-//! run the same `worker_loop`, and its admission is the same all-or-
-//! nothing mailbox. What sharding adds is ownership — no two shards share
-//! an engine, a cache, a metrics registry or a queue, so a shard can die,
-//! be drained and be restarted without the others noticing — plus a
-//! [`Monitor`](crate::supervisor::Monitor) the supervisor watches for
-//! worker deaths.
+//! A shard *is* the scheduler scoped to a subset of the key space: its
+//! [`Shared`] state runs `worker_loop`, and its admission is the
+//! all-or-nothing mailbox. No two shards share an engine, a cache, a
+//! metrics registry or a queue, so a shard can die, be drained and be
+//! restarted without the others noticing. The supervisor watches the
+//! shard's [`Monitor`](crate::supervisor::Monitor) for worker deaths. The
+//! flat `serve()` region is a single shard.
 
 use crate::config::ServeConfig;
+use crate::lifecycle::LifecycleController;
 use crate::mailbox::Entry;
 use crate::server::{deliver_fallback, FallbackReason, Shared};
 use crate::supervisor::Monitor;
@@ -25,18 +26,20 @@ pub(crate) struct Shard<'a> {
 }
 
 impl<'a> Shard<'a> {
-    /// Build shard `id` over its own forked `engine`. The fork carries the
-    /// live seed, thread count and cache capacity, so the shard's
-    /// answers are bit-identical to the flat region's (the determinism
-    /// contract: draws key on request identity, never on placement).
+    /// Build shard `id` over `engine`: the caller's engine for shard 0, a
+    /// fork for the rest. A fork carries the live seed, thread count and
+    /// cache capacity, so every shard's answers are bit-identical to a
+    /// direct call (the determinism contract: draws key on request
+    /// identity, never on placement).
     pub(crate) fn new(
         id: usize,
         engine: &'a ForecastEngine,
         contexts: &'a [&'a RaceContext],
         cfg: ServeConfig,
+        lifecycle: Option<&'a LifecycleController>,
     ) -> Shard<'a> {
         Shard {
-            shared: Shared::new(engine, contexts, cfg, None, Some(id)),
+            shared: Shared::new(engine, contexts, cfg, lifecycle, id),
             monitor: Monitor::new(),
         }
     }

@@ -17,7 +17,8 @@
 //! 4. respawns one worker.
 //!
 //! Restart cannot change bits: the respawned worker runs the same
-//! `worker_loop` over the same forked engine, and the engine's draws key
+//! `worker_loop` over the same engine (never a replacement — shard 0's
+//! stays the caller's), and the engine's draws key
 //! on request identity alone. Only the requests queued at the instant of
 //! death degrade (to flagged fallbacks); everything after the restart is
 //! served normally, and other shards never notice.

@@ -113,7 +113,7 @@ fn worker_panic_mid_batch_degrades_only_the_poisoned_request() {
 #[test]
 fn poisoned_queue_mutex_is_recovered_and_service_continues() {
     let _guard = locked();
-    fault::install(ServeFaultPlan::new().poison_queue_once());
+    fault::install(ServeFaultPlan::new().poison_shard_mailbox(0));
 
     let cfg = ServeConfig {
         workers: 2,
@@ -524,6 +524,64 @@ fn shard_worker_kill_degrades_only_the_killed_shard() {
     assert_eq!(survivor.fallback_shard, 0);
     assert_eq!(survivor.shard_restarts, 0);
     assert_eq!(survivor.worker_panics, 0);
+}
+
+/// The flat `serve()` region is shard 0 of a supervised region: a killed
+/// worker's backlog is answered with flagged `ShardFailure` fallbacks, the
+/// supervisor restarts the worker once, and later requests keep the
+/// direct call's bits.
+#[test]
+fn flat_region_worker_kill_is_supervised_and_service_continues() {
+    let _guard = locked();
+    // Ids start at 1 in submission order: kill the batch holding the first.
+    fault::install(ServeFaultPlan::new().kill_shard_worker(0, 1));
+
+    // A batch dispatches only when full, so each group of four is one batch.
+    let cfg = ServeConfig {
+        workers: 1,
+        max_batch: 4,
+        max_delay: Duration::from_secs(60),
+        queue_capacity: 64,
+    };
+    let backlog: Vec<ServeRequest> = (0..4)
+        .map(|i| ServeRequest::new(i % 2, 60 + 3 * i, 2, 3))
+        .collect();
+    let later: Vec<ServeRequest> = (0..4)
+        .map(|i| ServeRequest::new(i % 2, 80 + 3 * i, 2, 3))
+        .collect();
+    let (model, contexts) = fixture();
+    let refs: Vec<_> = contexts.iter().collect();
+    let engine = ForecastEngine::new(model, ENGINE_SEED).with_threads(1);
+    let submit_all = |client: rpf_serve::ServeClient<'_, '_>, reqs: &[ServeRequest]| {
+        let pending: Vec<_> = reqs
+            .iter()
+            .map(|&req| (req, client.submit(req).expect("queue sized")))
+            .collect();
+        pending
+            .into_iter()
+            .map(|(req, p)| (req, p.wait()))
+            .collect::<Vec<_>>()
+    };
+    let ((killed, served), metrics) = serve(&engine, &refs, &cfg, |client| {
+        (submit_all(client, &backlog), submit_all(client, &later))
+    });
+    fault::clear();
+
+    for (req, outcome) in &killed {
+        let resp = outcome.as_ref().expect("all requests here are valid");
+        assert_eq!(resp.fallback, Some(FallbackReason::ShardFailure));
+        let reference =
+            currank_forecast(&contexts[req.race], req.origin, req.horizon, req.n_samples)
+                .expect("valid request");
+        assert_eq!(bits(&reference), bits(&resp.forecast));
+    }
+    for (req, outcome) in &served {
+        assert_parity(req, outcome);
+    }
+    assert_eq!(metrics.shard_restarts, 1, "the supervisor restarts once");
+    assert_eq!(metrics.fallback_shard, 4);
+    assert_eq!(metrics.ok_responses, 4);
+    assert_eq!(metrics.completed, 8, "every accepted request is answered");
 }
 
 /// A poisoned mailbox mutex on one shard: that shard recovers the poison

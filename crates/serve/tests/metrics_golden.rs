@@ -11,7 +11,6 @@ use rpf_nn::RngStreams;
 use rpf_serve::loadgen::{self, LoadMix, MultiRaceMix};
 use rpf_serve::{
     replay, replay_sharded, replay_with_events, ReplayEvent, ServeConfig, ServiceModel,
-    ShardedSnapshot,
 };
 use std::path::PathBuf;
 use std::time::Duration;
@@ -247,23 +246,20 @@ fn sharded_replay_matches_golden_snapshot_exactly() {
 
     // Conservation before pinning: every scripted request is accounted for
     // on exactly one shard, and both shards see traffic.
-    let submitted: u64 = sharded.per_shard.iter().map(|s| s.submitted).sum();
+    let submitted: u64 = sharded.snapshot.per_shard.iter().map(|s| s.submitted).sum();
     assert_eq!(submitted, 64);
-    let merged = sharded.merged();
+    let merged = sharded.snapshot.merged();
     assert_eq!(merged.submitted, 64);
     assert_eq!(merged.accepted + merged.rejected_queue_full, 64);
     assert_eq!(merged.completed, merged.accepted);
     assert!(
-        sharded.per_shard.iter().all(|s| s.submitted > 0),
+        sharded.snapshot.per_shard.iter().all(|s| s.submitted > 0),
         "the Zipf mix must load every shard"
     );
 
-    let snap = ShardedSnapshot {
-        per_shard: sharded.per_shard.clone(),
-    };
     check_golden(
         &golden_path_named("metrics_replay_sharded.txt"),
-        &snap.render(),
+        &sharded.snapshot.render(),
     );
 }
 
@@ -274,7 +270,7 @@ fn sharded_replay_is_deterministic_across_runs() {
     let (cfg, script, svc) = sharded_script();
     let a = replay_sharded(&cfg, 2, &script, &svc);
     let b = replay_sharded(&cfg, 2, &script, &svc);
-    assert_eq!(a.per_shard, b.per_shard);
+    assert_eq!(a.snapshot.per_shard, b.snapshot.per_shard);
     assert_eq!(a.latencies_ns, b.latencies_ns);
     assert_eq!(a.makespan_ns, b.makespan_ns);
 }

@@ -112,7 +112,7 @@ proptest! {
             .collect();
 
         let out = replay_sharded(&cfg, 1, &schedule, &svc);
-        let m = out.merged();
+        let m = out.snapshot.merged();
         prop_assert_eq!(m.submitted, schedule.len() as u64);
         prop_assert_eq!(m.submitted, m.accepted + m.rejected_queue_full);
         prop_assert_eq!(m.completed, m.accepted);
@@ -128,7 +128,7 @@ proptest! {
         }
 
         let again = replay_sharded(&cfg, 1, &schedule, &svc);
-        prop_assert_eq!(&again.per_shard, &out.per_shard);
+        prop_assert_eq!(&again.snapshot.per_shard, &out.snapshot.per_shard);
         prop_assert_eq!(&again.latencies_ns, &out.latencies_ns);
         prop_assert_eq!(again.makespan_ns, out.makespan_ns);
     }

@@ -13,6 +13,7 @@ use rpf_serve::{
     serve, serve_sharded, shard_of, ServeConfig, ServeRequest, ShardTopology, SubmitError,
 };
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn ctx_refs(contexts: &[RaceContext]) -> Vec<&RaceContext> {
@@ -240,6 +241,37 @@ fn panicking_body_propagates_instead_of_hanging() {
     );
 }
 
+/// A one-shard region serves on the caller's engine itself, not on a
+/// fork: shard 0's model slot is the caller's, the caller's timings count
+/// the region's work, and every answer keeps the direct call's bits.
+#[test]
+fn one_shard_region_serves_on_the_callers_engine() {
+    let (model, contexts) = fixture();
+    let refs = ctx_refs(contexts);
+    let engine = ForecastEngine::new(model, ENGINE_SEED).with_threads(1);
+    let reqs: Vec<ServeRequest> = (0..4)
+        .map(|i| ServeRequest::new(i % 2, 60 + 5 * i, 2, 3))
+        .collect();
+    let topo = ShardTopology::new(1);
+    let ((same_slot, outcomes), _) =
+        serve_sharded(&engine, &refs, &ServeConfig::default(), topo, |client| {
+            let same_slot = Arc::ptr_eq(&client.slots()[0], engine.slot());
+            let outcomes: Vec<_> = reqs
+                .iter()
+                .map(|&req| (req, client.forecast(req).expect("admitted")))
+                .collect();
+            (same_slot, outcomes)
+        });
+    assert!(same_slot, "shard 0 must serve on the caller's model slot");
+    assert!(
+        engine.timings().calls > 0,
+        "the caller's engine must record the region's work"
+    );
+    for (req, outcome) in &outcomes {
+        assert_parity(req, outcome);
+    }
+}
+
 /// The sharded tentpole pin: for every fixed layout in 1/2/4 shards ×
 /// 1/2/8 workers, every sharded response must replay the *direct call's*
 /// exact bits — which is the same reference the unsharded suite pins, so
@@ -304,8 +336,8 @@ fn sharded_serving_matches_direct_calls_across_layouts() {
 }
 
 /// Run-to-run determinism of the sharded region: the same script over the
-/// same layout replays identical bits (common random numbers across
-/// forked engines).
+/// same layout replays identical bits (common random numbers across the
+/// caller's engine and its forks).
 #[test]
 fn repeated_sharded_runs_replay_identical_bits() {
     let (model, contexts) = fixture();
@@ -340,8 +372,7 @@ fn repeated_sharded_runs_replay_identical_bits() {
 }
 
 /// Per-shard backpressure: flooding one shard's key must reject with the
-/// flat scheduler's typed `QueueFull` while the merged books still
-/// balance.
+/// typed `QueueFull` while the merged books still balance.
 #[test]
 fn hot_shard_overflow_maps_to_queue_full() {
     let (model, contexts) = fixture();

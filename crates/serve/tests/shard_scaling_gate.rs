@@ -56,7 +56,7 @@ fn four_shards_clear_at_least_1_6x_the_single_shard_rate() {
 
     // Nothing rejected on either layout: the comparison is pure service.
     for (label, run) in [("1 shard", &one), ("4 shards", &four)] {
-        let m = run.merged();
+        let m = run.snapshot.merged();
         assert_eq!(m.completed, 384, "{label}: every request must complete");
         assert_eq!(m.rejected_queue_full, 0, "{label}: queue must not clip");
     }
@@ -85,6 +85,6 @@ fn scaling_gate_ratio_is_reproducible() {
     let (cfg, script, svc) = saturating_script();
     let a = replay_sharded(&cfg, 4, &script, &svc);
     let b = replay_sharded(&cfg, 4, &script, &svc);
-    assert_eq!(a.per_shard, b.per_shard);
+    assert_eq!(a.snapshot.per_shard, b.snapshot.per_shard);
     assert_eq!(a.makespan_ns, b.makespan_ns);
 }

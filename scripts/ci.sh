@@ -127,7 +127,7 @@ cargo test -q -p rpf-nn --features fault-inject --offline
 cargo test -q -p ranknet-core --features fault-inject --offline
 cargo test -q -p rpf-serve --features fault-inject --offline
 
-echo "== lifecycle + shard fault matrix (panic mid-swap, torn publish, corrupt checksum, shard kill/poison, aborted rolling swap) =="
+echo "== lifecycle + shard fault matrix (panic mid-swap, torn publish, corrupt checksum, shard kill/poison, flat-region worker kill, aborted rolling swap) =="
 cargo test -q -p rpf-serve --test fault_inject --features fault-inject --offline
 
 echo "CI green."
