@@ -19,7 +19,7 @@ use rpf_autodiff::Tape;
 use rpf_nn::gaussian::{gaussian_nll, GaussianParams, SIGMA_FLOOR};
 use rpf_nn::mlp::Activation;
 use rpf_nn::train::{train, TrainConfig, TrainReport};
-use rpf_nn::{Binding, InferMlp, Mlp, MlpScratch, ParamStore, RngStreams};
+use rpf_nn::{Binding, InferMlp, Mlp, MlpScratch, ParamStore};
 use rpf_tensor::{ops, Matrix};
 use std::sync::OnceLock;
 
@@ -308,11 +308,20 @@ impl PitModel {
     /// model the scenario fields are ignored, so the two entry points agree
     /// bit-for-bit.
     pub fn predict_state(&self, state: &PitState) -> (f32, f32) {
+        self.predict_states(std::slice::from_ref(state))[0]
+    }
+
+    /// [`PitModel::predict_state`] for many states in one `n`-row forward
+    /// of each net. Row `i` is bit-identical to `predict_state(&states[i])`:
+    /// `matmul_into` accumulates every element in the same ascending-`k`
+    /// order whatever the row count, and the rest is elementwise.
+    pub fn predict_states(&self, states: &[PitState]) -> Vec<(f32, f32)> {
         let rt = self.runtime.get_or_init(|| PitRuntime {
             mu_net: InferMlp::from_store(&self.store, &self.mu_net),
             sigma_net: InferMlp::from_store(&self.store, &self.sigma_net),
         });
-        let x = Matrix::from_vec(1, self.input_dim, self.features(state));
+        let rows: Vec<f32> = states.iter().flat_map(|s| self.features(s)).collect();
+        let x = Matrix::from_vec(states.len(), self.input_dim, rows);
         let mut scratch = MlpScratch::new();
         let mut mu = Matrix::zeros(0, 0);
         let mut sigma = Matrix::zeros(0, 0);
@@ -320,93 +329,83 @@ impl PitModel {
         rt.sigma_net.forward_into(&x, &mut scratch, &mut sigma);
         ops::softplus_assign(&mut sigma);
         ops::add_scalar_assign(&mut sigma, SIGMA_FLOOR);
-        (mu.get(0, 0) * self.scale, sigma.get(0, 0) * self.scale)
+        (0..states.len())
+            .map(|i| (mu.get(i, 0) * self.scale, sigma.get(i, 0) * self.scale))
+            .collect()
     }
 
-    /// Sample the lap offset (≥ 1) of the next pit stop.
-    pub fn sample_next_pit(&self, caution_laps: f32, pit_age: f32, rng: &mut StdRng) -> usize {
-        self.sample_next_pit_state(&PitState::legacy(caution_laps, pit_age), rng)
-    }
-
-    /// [`PitModel::sample_next_pit`] on a full [`PitState`].
-    pub fn sample_next_pit_state(&self, state: &PitState, rng: &mut StdRng) -> usize {
-        let (mu, sigma) = self.predict_state(state);
-        let u1: f32 = rng.gen_range(1e-7..1.0f32);
-        let u2: f32 = rng.gen();
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
-        (mu + sigma * z).round().max(1.0) as usize
+    /// Every car's next-pit distributions at a forecast origin, from one
+    /// [`PitModel::predict_states`] call over two rows per running car: its
+    /// state at lap `origin - 1`, and the fresh state it restarts from after
+    /// a stop (pit age, tyre age and caution credit zero; track wetness held
+    /// at its origin value, exactly as the rank decoder holds weather).
+    /// Cars retired before the origin (`seq.len() < origin`) get `None`.
+    pub fn car_dists(&self, ctx: &RaceContext, origin: usize) -> Vec<Option<CarPitDist>> {
+        let mut states = Vec::new();
+        for seq in ctx.sequences.iter().filter(|seq| seq.len() >= origin) {
+            let i = origin - 1;
+            let track_wetness = seq.track_wetness.get(i).copied().unwrap_or(0.0);
+            states.push(PitState {
+                caution_laps: seq.caution_laps[i],
+                pit_age: seq.pit_age[i],
+                tyre_age: seq.tyre_age.get(i).copied().unwrap_or(seq.pit_age[i]),
+                track_wetness,
+            });
+            states.push(PitState {
+                track_wetness,
+                ..PitState::default()
+            });
+        }
+        let dists = self.predict_states(&states);
+        let mut pairs = dists.chunks_exact(2);
+        ctx.sequences
+            .iter()
+            .map(|seq| {
+                if seq.len() < origin {
+                    return None;
+                }
+                pairs.next().map(|p| CarPitDist {
+                    origin: p[0],
+                    fresh: p[1],
+                })
+            })
+            .collect()
     }
 
     /// Sample a full future pit-lap pattern for one car: `horizon` booleans,
-    /// resampling after each predicted stop (Algorithm 2 step 1).
-    pub fn sample_future_pits(
-        &self,
-        caution_laps: f32,
-        pit_age: f32,
-        horizon: usize,
-        rng: &mut StdRng,
-    ) -> Vec<bool> {
-        self.sample_future_pits_state(&PitState::legacy(caution_laps, pit_age), horizon, rng)
-    }
-
-    /// [`PitModel::sample_future_pits`] on a full [`PitState`]. After each
-    /// sampled stop the car restarts on fresh tyres (pit age, tyre age and
-    /// caution credit reset to zero); track wetness persists — the forecast
-    /// holds weather at its origin value, exactly as the rank decoder does.
-    pub fn sample_future_pits_state(
-        &self,
-        state: &PitState,
-        horizon: usize,
-        rng: &mut StdRng,
-    ) -> Vec<bool> {
-        let fresh = PitState {
-            caution_laps: 0.0,
-            pit_age: 0.0,
-            tyre_age: 0.0,
-            track_wetness: state.track_wetness,
+    /// resampling from the fresh distribution after each predicted stop
+    /// (Algorithm 2 step 1). Each draw is one Box–Muller normal, rounded and
+    /// floored at one lap.
+    pub fn sample_future_pits(dist: &CarPitDist, horizon: usize, rng: &mut StdRng) -> Vec<bool> {
+        let mut draw = |(mu, sigma): (f32, f32)| {
+            let u1: f32 = rng.gen_range(1e-7..1.0f32);
+            let u2: f32 = rng.gen();
+            let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
+            (mu + sigma * z).round().max(1.0) as usize
         };
         let mut pits = vec![false; horizon];
         // Countdown to the next stop; aging is implicit in the countdown, so
-        // the model is only ever queried at a pit (age 0) or at the origin.
-        let mut next = self.sample_next_pit_state(state, rng);
+        // only the origin and fresh distributions are ever drawn from.
+        let mut next = draw(dist.origin);
         for slot in pits.iter_mut() {
             if next == 0 {
                 *slot = true;
                 // A freshly sampled stint must be at least one lap.
-                next = self.sample_next_pit_state(&fresh, rng).max(1);
+                next = draw(dist.fresh).max(1);
             }
             next = next.saturating_sub(1);
         }
         pits
     }
+}
 
-    /// Stream-seeded variant of [`PitModel::sample_future_pits`]: the draws
-    /// come from `streams.stream(index)`, so each car's future owns a fixed
-    /// stream and per-car sampling can run in any order — or in parallel —
-    /// without changing any car's pit pattern.
-    pub fn sample_future_pits_stream(
-        &self,
-        caution_laps: f32,
-        pit_age: f32,
-        horizon: usize,
-        streams: &RngStreams,
-        index: u64,
-    ) -> Vec<bool> {
-        let mut rng = streams.stream(index);
-        self.sample_future_pits(caution_laps, pit_age, horizon, &mut rng)
-    }
-
-    /// Stream-seeded variant of [`PitModel::sample_future_pits_state`].
-    pub fn sample_future_pits_stream_state(
-        &self,
-        state: &PitState,
-        horizon: usize,
-        streams: &RngStreams,
-        index: u64,
-    ) -> Vec<bool> {
-        let mut rng = streams.stream(index);
-        self.sample_future_pits_state(state, horizon, &mut rng)
-    }
+/// One car's next-pit distributions at a forecast origin, as `(mu, sigma)`
+/// in laps: `origin` from its state at the origin, `fresh` from the state it
+/// restarts from after a sampled stop. Built by [`PitModel::car_dists`].
+#[derive(Clone, Copy, Debug)]
+pub struct CarPitDist {
+    pub origin: (f32, f32),
+    pub fresh: (f32, f32),
 }
 
 #[cfg(test)]
@@ -471,11 +470,15 @@ mod tests {
         let mut model = PitModel::new(2, 50.0);
         let _ = model.train(&ctxs, &cfg);
         let mut rng = StdRng::seed_from_u64(3);
+        let dist = CarPitDist {
+            origin: model.predict(0.0, 30.0),
+            fresh: model.predict(0.0, 0.0),
+        };
         // Deep into a stint, a long horizon should almost surely contain a
         // pit stop.
         let mut any_pit = 0;
         for _ in 0..20 {
-            let pits = model.sample_future_pits(0.0, 30.0, 40, &mut rng);
+            let pits = PitModel::sample_future_pits(&dist, 40, &mut rng);
             assert_eq!(pits.len(), 40);
             if pits.iter().any(|&p| p) {
                 any_pit += 1;
@@ -591,8 +594,15 @@ mod tests {
         cfg.max_epochs = 2;
         let _ = model.train(&ctxs, &cfg);
         let mut rng = StdRng::seed_from_u64(5);
+        let dist = CarPitDist {
+            origin: model.predict(5.0, 49.0),
+            fresh: model.predict(0.0, 0.0),
+        };
         for _ in 0..50 {
-            assert!(model.sample_next_pit(5.0, 49.0, &mut rng) >= 1);
+            // The first sampled stop's slot is the drawn lap offset.
+            let pits = PitModel::sample_future_pits(&dist, 64, &mut rng);
+            let next_pit = pits.iter().position(|&p| p).unwrap_or(64);
+            assert!(next_pit >= 1);
         }
     }
 }

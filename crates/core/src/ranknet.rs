@@ -15,7 +15,7 @@
 use crate::config::RankNetConfig;
 use crate::features::RaceContext;
 use crate::instances::{Covariates, TrainingSet};
-use crate::pit_model::{PitModel, PitState};
+use crate::pit_model::{CarPitDist, PitModel};
 use crate::rank_model::{
     oracle_covariates, BatchedRun, CovariateFuture, EncoderState, ForecastSamples, RankModel,
     TargetKind,
@@ -181,8 +181,9 @@ impl RankNet {
     /// `(covariate future, samples to draw under it)` pairs. Oracle and
     /// Joint produce a single group; MLP produces several, each a joint
     /// PitModel sample of the whole field's future pit pattern, so that
-    /// pit-timing uncertainty propagates into the rank forecast. Groups are
-    /// sampled from per-group stream families and so may run in parallel.
+    /// pit-timing uncertainty propagates into the rank forecast. The
+    /// PitModel runs once per call ([`PitModel::car_dists`]); each group
+    /// then draws from its own stream family, sequentially on this thread.
     pub(crate) fn covariate_groups(
         &self,
         ctx: &RaceContext,
@@ -221,21 +222,21 @@ impl RankNet {
                 let groups = n_samples.clamp(1, 8);
                 let per_group = n_samples.div_ceil(groups);
                 let cov_streams = RngStreams::new(seed).child(COV_STREAM_TAG);
-                // Each group owns the stream family `cov_streams.child(g)`;
-                // the groups are independent, so fan them out.
-                rpf_tensor::par::par_map(groups, 64 * 1024, |g| {
-                    sample_covariate_future_streams(
-                        pm,
-                        self.cfg.prediction_len,
-                        ctx,
-                        origin,
-                        horizon,
-                        &cov_streams.child(g as u64),
-                    )
-                })
-                .into_iter()
-                .map(|cov| (cov, per_group))
-                .collect()
+                let dists = pm.car_dists(ctx, origin);
+                // Each group owns the stream family `cov_streams.child(g)`.
+                (0..groups)
+                    .map(|g| {
+                        let cov = sample_covariate_future_streams(
+                            &dists,
+                            self.cfg.prediction_len,
+                            ctx,
+                            origin,
+                            horizon,
+                            &cov_streams.child(g as u64),
+                        );
+                        (cov, per_group)
+                    })
+                    .collect()
             }
         }
     }
@@ -316,130 +317,102 @@ impl DecodeJob<'_> {
 /// zero (§III-C), context features derived from the sampled pits. Shared by
 /// the LSTM and Transformer RankNet variants.
 ///
-/// Wrapper over [`sample_covariate_future_streams`] deriving the stream
-/// family from `rng`.
-pub fn sample_covariate_future(
-    pm: &PitModel,
-    prediction_len: usize,
-    ctx: &RaceContext,
-    origin: usize,
-    horizon: usize,
-    rng: &mut StdRng,
-) -> CovariateFuture {
-    let streams = RngStreams::from_rng(rng);
-    sample_covariate_future_streams(pm, prediction_len, ctx, origin, horizon, &streams)
-}
-
-/// Stream-seeded [`sample_covariate_future`]: car slot `c` draws its pit
-/// pattern from `streams.stream(c)`, so the per-car sampling loop is order-
-/// independent and runs in parallel across the field. The derived context
-/// features (field pit counts, leader pit counts) are pure functions of the
-/// sampled patterns.
+/// `dists` is [`PitModel::car_dists`] at this origin, so no MLP runs here.
+/// Car slot `c` draws its pit pattern from `streams.stream(c)`; the derived
+/// context features (field pit counts, leader pit counts) are pure functions
+/// of the sampled patterns.
 pub fn sample_covariate_future_streams(
-    pm: &PitModel,
+    dists: &[Option<CarPitDist>],
     prediction_len: usize,
     ctx: &RaceContext,
     origin: usize,
     horizon: usize,
     streams: &RngStreams,
 ) -> CovariateFuture {
-    {
-        let n_cars = ctx.sequences.len();
-
-        // Sample per-car future pit laps, one stream per car. Each sample
-        // costs several MLP forward passes, so the hint makes a ~30-car
-        // field worth fanning out on multi-core machines.
-        let future_pits: Vec<Vec<bool>> = rpf_tensor::par::par_map(n_cars, 4 * 1024, |c| {
-            let seq = &ctx.sequences[c];
-            if seq.len() < origin {
-                return vec![false; horizon];
+    // Sample per-car future pit laps, one stream per car.
+    let future_pits: Vec<Vec<bool>> = dists
+        .iter()
+        .enumerate()
+        .map(|(c, dist)| match dist {
+            Some(dist) => {
+                PitModel::sample_future_pits(dist, horizon, &mut streams.stream(c as u64))
             }
-            let state = PitState {
-                caution_laps: seq.caution_laps[origin - 1],
-                pit_age: seq.pit_age[origin - 1],
-                tyre_age: seq
-                    .tyre_age
-                    .get(origin - 1)
-                    .copied()
-                    .unwrap_or(seq.pit_age[origin - 1]),
-                track_wetness: seq.track_wetness.get(origin - 1).copied().unwrap_or(0.0),
-            };
-            pm.sample_future_pits_stream_state(&state, horizon, streams, c as u64)
-        });
+            None => vec![false; horizon],
+        })
+        .collect();
 
-        // Field-level context features from the sampled pits.
-        let total_pits_at: Vec<f32> = (0..horizon)
-            .map(|s| future_pits.iter().filter(|p| p[s]).count() as f32)
-            .collect();
+    // Field-level context features from the sampled pits.
+    let total_pits_at: Vec<f32> = (0..horizon)
+        .map(|s| future_pits.iter().filter(|p| p[s]).count() as f32)
+        .collect();
 
-        let rows = ctx
-            .sequences
-            .iter()
-            .enumerate()
-            .map(|(c, seq)| {
-                if seq.len() < origin {
-                    return Vec::new();
-                }
-                let my_rank = seq.rank[origin - 1];
-                let mut age = seq.pit_age[origin - 1];
-                let caution = seq.caution_laps[origin - 1];
-                // Scenario covariates: tyre age evolves with the sampled
-                // pit pattern (tyres turn over at every stop); compound,
-                // wetness and fuel pressure are held at their origin
-                // values — the model knows no weather forecast, mirroring
-                // the §III-C zero-future-caution treatment.
-                let mut tyre = seq.tyre_age.get(origin - 1).copied().unwrap_or(0.0);
-                let compound = seq.compound.get(origin - 1).copied().unwrap_or(0.0);
-                let wetness = seq.track_wetness.get(origin - 1).copied().unwrap_or(0.0);
-                let fuel = seq.fuel_target.get(origin - 1).copied().unwrap_or(0.0);
-                (0..horizon)
-                    .map(|s| {
-                        let pit = future_pits[c][s];
-                        // Cars currently ahead that pit at this step.
-                        let leader_pits = ctx
-                            .sequences
-                            .iter()
-                            .enumerate()
-                            .filter(|(o, oseq)| {
-                                *o != c
-                                    && oseq.len() >= origin
-                                    && oseq.rank[origin - 1] < my_rank
-                                    && future_pits[*o][s]
-                            })
-                            .count() as f32;
-                        let shift = s + prediction_len;
-                        let cov = Covariates {
-                            track_status: 0.0, // §III-C: future cautions set to zero
-                            lap_status: if pit { 1.0 } else { 0.0 },
-                            caution_laps: if age == 0.0 { 0.0 } else { caution },
-                            pit_age: age,
-                            leader_pit_count: leader_pits,
-                            total_pit_count: total_pits_at[s],
-                            shift_track_status: 0.0,
-                            shift_lap_status: future_pits[c]
-                                .get(shift)
-                                .map(|&p| if p { 1.0 } else { 0.0 })
-                                .unwrap_or(0.0),
-                            shift_total_pit_count: total_pits_at.get(shift).copied().unwrap_or(0.0),
-                            compound,
-                            tyre_age: tyre,
-                            track_wetness: wetness,
-                            fuel_target: fuel,
-                        };
-                        if pit {
-                            age = 0.0;
-                            tyre = 0.0;
-                        } else {
-                            age += 1.0;
-                            tyre += 1.0;
-                        }
-                        cov
-                    })
-                    .collect()
-            })
-            .collect();
-        CovariateFuture { rows }
-    }
+    let rows = ctx
+        .sequences
+        .iter()
+        .enumerate()
+        .map(|(c, seq)| {
+            if seq.len() < origin {
+                return Vec::new();
+            }
+            let my_rank = seq.rank[origin - 1];
+            let mut age = seq.pit_age[origin - 1];
+            let caution = seq.caution_laps[origin - 1];
+            // Scenario covariates: tyre age evolves with the sampled
+            // pit pattern (tyres turn over at every stop); compound,
+            // wetness and fuel pressure are held at their origin
+            // values — the model knows no weather forecast, mirroring
+            // the §III-C zero-future-caution treatment.
+            let mut tyre = seq.tyre_age.get(origin - 1).copied().unwrap_or(0.0);
+            let compound = seq.compound.get(origin - 1).copied().unwrap_or(0.0);
+            let wetness = seq.track_wetness.get(origin - 1).copied().unwrap_or(0.0);
+            let fuel = seq.fuel_target.get(origin - 1).copied().unwrap_or(0.0);
+            (0..horizon)
+                .map(|s| {
+                    let pit = future_pits[c][s];
+                    // Cars currently ahead that pit at this step.
+                    let leader_pits = ctx
+                        .sequences
+                        .iter()
+                        .enumerate()
+                        .filter(|(o, oseq)| {
+                            *o != c
+                                && oseq.len() >= origin
+                                && oseq.rank[origin - 1] < my_rank
+                                && future_pits[*o][s]
+                        })
+                        .count() as f32;
+                    let shift = s + prediction_len;
+                    let cov = Covariates {
+                        track_status: 0.0, // §III-C: future cautions set to zero
+                        lap_status: if pit { 1.0 } else { 0.0 },
+                        caution_laps: if age == 0.0 { 0.0 } else { caution },
+                        pit_age: age,
+                        leader_pit_count: leader_pits,
+                        total_pit_count: total_pits_at[s],
+                        shift_track_status: 0.0,
+                        shift_lap_status: future_pits[c]
+                            .get(shift)
+                            .map(|&p| if p { 1.0 } else { 0.0 })
+                            .unwrap_or(0.0),
+                        shift_total_pit_count: total_pits_at.get(shift).copied().unwrap_or(0.0),
+                        compound,
+                        tyre_age: tyre,
+                        track_wetness: wetness,
+                        fuel_target: fuel,
+                    };
+                    if pit {
+                        age = 0.0;
+                        tyre = 0.0;
+                    } else {
+                        age += 1.0;
+                        tyre += 1.0;
+                    }
+                    cov
+                })
+                .collect()
+        })
+        .collect();
+    CovariateFuture { rows }
 }
 
 /// Convert value samples into *rank positions* by sorting within each

@@ -24,7 +24,7 @@ use rpf_nn::infer::{
     InferDecoderLayer, InferEmbedding, InferEncoderLayer, InferGaussianHead, InferLinear,
 };
 use rpf_nn::train::{shard_indices, train, TrainConfig, TrainReport};
-use rpf_nn::{Binding, GaussianHead, Linear, ParamStore};
+use rpf_nn::{Binding, GaussianHead, Linear, ParamStore, RngStreams};
 use rpf_tensor::{ops, Matrix};
 
 /// One gradient shard: accumulated `(param, grad)` pairs, loss sum, count.
@@ -492,17 +492,18 @@ impl crate::baseline_adapters::Forecaster for TransformerForecaster {
                 // LSTM RankNet-MLP.
                 let groups = n_samples.clamp(1, 4);
                 let per_group = n_samples.div_ceil(groups);
+                let dists = pm.car_dists(ctx, origin);
                 let mut all: ForecastSamples = vec![Vec::new(); ctx.sequences.len()];
                 for g in 0..groups {
                     let mut group_rng =
                         StdRng::seed_from_u64(0xF00 ^ (g as u64) << 9 ^ origin as u64);
-                    let cov = crate::ranknet::sample_covariate_future(
-                        pm,
+                    let cov = crate::ranknet::sample_covariate_future_streams(
+                        &dists,
                         shift,
                         ctx,
                         origin,
                         horizon,
-                        &mut group_rng,
+                        &RngStreams::from_rng(&mut group_rng),
                     );
                     let got = self
                         .model

@@ -1,11 +1,13 @@
-//! Minimal data-parallel helpers built on `crossbeam` scoped threads.
+//! The one data-parallel helper: [`par_chunks_mut`], built on `crossbeam`
+//! scoped threads.
 //!
-//! The guides for this domain recommend rayon-style chunked data parallelism;
-//! since the dependency budget names `crossbeam`, we implement the one
-//! pattern we need — "split a mutable slice into chunks and process them on a
-//! small scoped pool" — directly. Work below [`PAR_THRESHOLD`] elements runs
-//! sequentially: thread spawn + join costs more than the work itself for the
-//! small per-timestep LSTM matrices.
+//! The kernels need a single pattern — "split a mutable slice into
+//! row-aligned chunks and process them on a small scoped pool" — so it is
+//! implemented directly rather than through rayon. Work below
+//! [`PAR_THRESHOLD`] elements runs sequentially: thread spawn + join costs
+//! more than the work itself for the small per-timestep LSTM matrices. For
+//! the same reason there is no per-index fan-out: small independent jobs,
+//! like per-car covariate sampling, run in a plain loop on the caller.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -60,61 +62,9 @@ where
     .expect("worker thread panicked");
 }
 
-/// Run `f(i)` for every `i in 0..n`, in parallel when `n * work_hint` is
-/// large. Each index is processed exactly once; `f` must be safe to call
-/// concurrently for distinct indices.
-pub fn par_for<F>(n: usize, work_hint: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let threads = num_threads();
-    if n == 0 {
-        return;
-    }
-    if n.saturating_mul(work_hint.max(1)) < PAR_THRESHOLD || threads == 1 || n == 1 {
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
-    let counter = AtomicUsize::new(0);
-    crossbeam::scope(|s| {
-        for _ in 0..threads.min(n) {
-            let counter = &counter;
-            let f = &f;
-            s.spawn(move |_| loop {
-                let i = counter.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                f(i);
-            });
-        }
-    })
-    .expect("worker thread panicked");
-}
-
-/// Map `f` over `0..n` collecting results in order, parallel for large `n`.
-pub fn par_map<T, F>(n: usize, work_hint: usize, f: F) -> Vec<T>
-where
-    T: Send + Default + Clone,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut out = vec![T::default(); n];
-    {
-        let slots: Vec<parking_lot::Mutex<&mut T>> =
-            out.iter_mut().map(parking_lot::Mutex::new).collect();
-        par_for(n, work_hint, |i| {
-            **slots[i].lock() = f(i);
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn par_chunks_mut_covers_everything_once() {
@@ -138,28 +88,6 @@ mod tests {
             }
         });
         assert!(v.iter().all(|&x| x == 2.0));
-    }
-
-    #[test]
-    fn par_for_runs_each_index_once() {
-        let hits: Vec<AtomicU64> = (0..5000).map(|_| AtomicU64::new(0)).collect();
-        par_for(5000, 100_000, |i| {
-            hits[i].fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
-    }
-
-    #[test]
-    fn par_for_zero_is_noop() {
-        par_for(0, 1_000_000, |_| panic!("should not run"));
-    }
-
-    #[test]
-    fn par_map_order() {
-        let v = par_map(1000, 1_000_000, |i| i * i);
-        for (i, &x) in v.iter().enumerate() {
-            assert_eq!(x, i * i);
-        }
     }
 
     #[test]

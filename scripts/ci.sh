@@ -35,6 +35,9 @@ cargo test -q -p ranknet-core --test lifecycle_store --offline
 echo "== pit runtime rebuild (import invalidates the cached runtime) =="
 cargo test -q -p ranknet-core --test pit_runtime_rebuild --offline
 
+echo "== covariate sampling parity (hoisted == per-draw reference) =="
+cargo test -q -p ranknet-core --test covariate_sampling --offline
+
 echo "== serving equivalence (batched + sharded == direct, bitwise) =="
 cargo test -q -p rpf-serve --test serve_equivalence --offline
 
