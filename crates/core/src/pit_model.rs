@@ -19,7 +19,7 @@ use rpf_autodiff::Tape;
 use rpf_nn::gaussian::{gaussian_nll, GaussianParams, SIGMA_FLOOR};
 use rpf_nn::mlp::Activation;
 use rpf_nn::train::{train, TrainConfig, TrainReport};
-use rpf_nn::{Binding, InferMlp, Mlp, MlpScratch, ParamStore};
+use rpf_nn::{Binding, InferMlp, Mlp, ParamStore};
 use rpf_tensor::{ops, Matrix};
 use std::sync::OnceLock;
 
@@ -313,8 +313,9 @@ impl PitModel {
 
     /// [`PitModel::predict_state`] for many states in one `n`-row forward
     /// of each net. Row `i` is bit-identical to `predict_state(&states[i])`:
-    /// `matmul_into` accumulates every element in the same ascending-`k`
-    /// order whatever the row count, and the rest is elementwise.
+    /// the tape's `matmul` accumulates every element in the same
+    /// ascending-`k` order whatever the row count, and the rest is
+    /// elementwise.
     pub fn predict_states(&self, states: &[PitState]) -> Vec<(f32, f32)> {
         let rt = self.runtime.get_or_init(|| PitRuntime {
             mu_net: InferMlp::from_store(&self.store, &self.mu_net),
@@ -322,11 +323,8 @@ impl PitModel {
         });
         let rows: Vec<f32> = states.iter().flat_map(|s| self.features(s)).collect();
         let x = Matrix::from_vec(states.len(), self.input_dim, rows);
-        let mut scratch = MlpScratch::new();
-        let mut mu = Matrix::zeros(0, 0);
-        let mut sigma = Matrix::zeros(0, 0);
-        rt.mu_net.forward_into(&x, &mut scratch, &mut mu);
-        rt.sigma_net.forward_into(&x, &mut scratch, &mut sigma);
+        let mu = rt.mu_net.forward(&x);
+        let mut sigma = rt.sigma_net.forward(&x);
         ops::softplus_assign(&mut sigma);
         ops::add_scalar_assign(&mut sigma, SIGMA_FLOOR);
         (0..states.len())

@@ -28,7 +28,7 @@ use rpf_nn::train::{
 };
 use rpf_nn::{
     BatchScratch, Binding, GaussianHead, InferEmbedding, InferGaussianHead, InferStackedLstm,
-    LstmScratch, ParamStore, RngStreams, StackedLstm,
+    ParamStore, RngStreams, StackedLstm,
 };
 use rpf_tensor::Matrix;
 
@@ -99,9 +99,10 @@ struct BatchedRowPlan {
 /// Tape-free serving runtime for one [`RankModel`]: forward-only mirrors of
 /// the LSTM stack, Gaussian heads and car embedding, converted one-shot from
 /// the trained store (weights cloned once, at conversion time). Read-only
-/// and `Sync`: [`RankModel::encode`] and [`RankModel::decode_runs_batched`]
-/// build one per call, and the batched decode shares it across every
-/// worker thread.
+/// and `Sync`: [`RankModel::decode_runs_batched`] builds one per call and
+/// shares it across every worker thread. Its LSTM stack steps on the same
+/// batched kernel as [`RankModel::encode`], so encoder and decoder answer to
+/// one tolerance contract (`DESIGN.md` §13).
 pub struct RankRuntime {
     lstm: InferStackedLstm,
     heads: Vec<InferGaussianHead>,
@@ -556,7 +557,40 @@ impl RankModel {
     /// across any number of decode calls at the same origin
     /// (different sample counts, covariate futures, horizons), which is how
     /// [`crate::engine::ForecastEngine`] amortises it.
+    ///
+    /// Steps on the batched LSTM kernel the decoder uses
+    /// ([`InferStackedLstm::step`]), so the states track
+    /// [`RankModel::encode_tape`] within the tolerance contract of
+    /// `DESIGN.md` §13. Each row depends only on its own car's inputs, and
+    /// the steps run in a fixed order, so the states are bit-identical on
+    /// every call.
     pub fn encode(&self, ctx: &RaceContext, origin: usize) -> EncoderState {
+        let lstm = InferStackedLstm::from_store(&self.store, &self.lstm);
+        let mut scratch = BatchScratch::new();
+        self.encode_with(ctx, origin, |input, _, states| {
+            lstm.step(input, states, &mut scratch)
+        })
+    }
+
+    /// Reference encoder: [`RankModel::encode`]'s input rows stepped through
+    /// the autodiff tape (`StackedLstm::step`, with the tape's own embedding
+    /// gather). Not a serving path; the decode parity suite pins `encode`
+    /// against it.
+    pub fn encode_tape(&self, ctx: &RaceContext, origin: usize) -> EncoderState {
+        self.encode_with(ctx, origin, |input, car_ids, states| {
+            self.step_concrete(&input.slice_cols(0, self.base_dim), car_ids, states);
+        })
+    }
+
+    /// The encoder's history loop: `step(input, car_ids, states)` advances
+    /// every layer's state by one lap, where `input` holds one
+    /// `base + embedding` row per car.
+    fn encode_with(
+        &self,
+        ctx: &RaceContext,
+        origin: usize,
+        mut step: impl FnMut(&Matrix, &[usize], &mut [(Matrix, Matrix)]),
+    ) -> EncoderState {
         let cars: Vec<usize> = (0..ctx.sequences.len())
             .filter(|&c| ctx.sequences[c].len() >= origin)
             .collect();
@@ -580,16 +614,14 @@ impl RankModel {
                 states,
             };
         }
-        let runtime = self.runtime();
         let enc_start = origin.saturating_sub(self.cfg.context_len).max(1);
         // Persistent input matrix: regressive/covariate columns are
         // rewritten in place each step; the embedding columns are constant
-        // across steps (the tape path re-gathers and re-hstacks them every
-        // step), so they are written once.
+        // across steps, so they are written once.
         let mut input = Matrix::zeros(b, self.base_dim + self.cfg.embedding_dim);
-        let mut lstm_scratch = LstmScratch::new();
+        let table = self.store.value(self.emb.table);
         for (bi, &id) in car_ids.iter().enumerate() {
-            input.row_mut(bi)[self.base_dim..].copy_from_slice(runtime.emb.row(id));
+            input.row_mut(bi)[self.base_dim..].copy_from_slice(table.row(id));
         }
         let mut row = Vec::with_capacity(self.base_dim);
         for idx in enc_start..origin {
@@ -604,7 +636,7 @@ impl RankModel {
                 Self::assemble(&self.cfg, self.kind, ctx, &reg, &cov, seq, idx, &mut row);
                 input.row_mut(bi)[..self.base_dim].copy_from_slice(&row);
             }
-            runtime.lstm.step(&input, &mut states, &mut lstm_scratch);
+            step(&input, &car_ids, &mut states);
         }
         EncoderState {
             cars,
@@ -971,9 +1003,7 @@ impl RankModel {
                 }
             }
             let hidden = if compact {
-                runtime
-                    .lstm
-                    .step_batch(&g_input, &mut g_states, &mut scratch);
+                runtime.lstm.step(&g_input, &mut g_states, &mut scratch);
                 // Fan the stepped group state out to every replica row —
                 // bit-identical to having stepped each replica, and the
                 // same copy volume the per-row encoder seeding would cost.
@@ -986,7 +1016,7 @@ impl RankModel {
                 }
                 &g_states[top].0
             } else {
-                runtime.lstm.step_batch(&input, &mut h_states, &mut scratch);
+                runtime.lstm.step(&input, &mut h_states, &mut scratch);
                 &h_states[top].0
             };
             // Index of a row's mu/sigma entry in this step's head output.

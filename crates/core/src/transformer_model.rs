@@ -416,8 +416,6 @@ impl TransformerModel {
                 let mut path = Vec::with_capacity(horizon);
                 let mut last_rank = seq.rank[origin - 1];
                 let mut dec_inputs: Vec<Vec<f32>> = Vec::with_capacity(horizon);
-                let mut mu = Matrix::zeros(0, 0);
-                let mut sigma = Matrix::zeros(0, 0);
                 for step in 0..horizon {
                     let reg = Regressive {
                         rank: last_rank,
@@ -442,7 +440,7 @@ impl TransformerModel {
                     }
                     let h = rt.decode(&dec_in, &memory);
                     let last = h.slice_rows(t_len - 1, t_len);
-                    rt.head.forward_into(&last, &mut mu, &mut sigma);
+                    let (mu, sigma) = rt.head.forward(&last);
                     let z = sample_gaussian(rng, &mu, &sigma).get(0, 0);
                     let rank = ctx.denorm_rank(z).clamp(0.5, ctx.field_size as f32 + 0.5);
                     path.push(rank);

@@ -12,6 +12,10 @@
 //!    counts,
 //! 3. **Fold invariance** — a run's bits do not change when other runs
 //!    share its lock-step batch (what legalises serving-layer coalescing).
+//!
+//! The encoder steps on the same batched LSTM kernel, so its states owe the
+//! same two halves: tolerance against `encode_tape` over a full context
+//! window, and bit-identical replays.
 
 use ranknet_core::config::Likelihood;
 use ranknet_core::engine::{ForecastEngine, ForecastRequest};
@@ -24,6 +28,7 @@ use ranknet_core::ranknet::{RankNet, RankNetVariant};
 use ranknet_core::RankNetConfig;
 use rpf_nn::RngStreams;
 use rpf_racesim::{simulate_race, Event, EventConfig};
+use rpf_tensor::Matrix;
 
 /// Pinned batched-vs-tape bound in denormalised rank units. The per-step
 /// kernel divergence is ≤ ~1e-4 in normalised units (see the `rpf-nn`
@@ -32,6 +37,17 @@ use rpf_racesim::{simulate_race, Event, EventConfig};
 /// generous headroom while still far below any decision threshold (ranks
 /// are ≥ 1 apart). Tightening kernels may never loosen this.
 const RANK_TOL: f32 = 0.05;
+
+/// Pinned `encode`-vs-`encode_tape` bound on every layer's `h` and `c`
+/// (normalised units) over up to a full paper-sized context window (60
+/// steps). Each step adds a few ulps of FMA and fast-activation error (the
+/// fast tanh/sigmoid are within 2e-6 of libm), and the gated recurrence
+/// damps old error instead of compounding it, so the drift stays near the
+/// single-step error: the worst element measured over the cases below is
+/// under 4e-7. The bound keeps ~25x headroom on that; a dropped bias or a
+/// swapped gate block moves states by orders of magnitude more.
+/// Tightening kernels may never loosen this.
+const ENC_TOL: f32 = 1e-5;
 
 fn race_ctx(seed: u64) -> RaceContext {
     extract_sequences(&simulate_race(
@@ -322,4 +338,74 @@ fn engine_folded_batch_matches_solo_calls_bitwise() {
             "folded batch entry diverged from the solo call"
         );
     }
+}
+
+fn state_bits(states: &[(Matrix, Matrix)]) -> Vec<u32> {
+    states
+        .iter()
+        .flat_map(|(h, c)| h.as_slice().iter().chain(c.as_slice()))
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+fn encoder_case(kind: TargetKind, seed: u64) {
+    let ctx = race_ctx(seed);
+    // The paper's Table IV shape: context_len 60, two 40-unit layers.
+    let cfg = RankNetConfig {
+        max_epochs: 1,
+        ..RankNetConfig::default()
+    };
+    let model = trained_model(&ctx, &cfg, kind);
+
+    // Origin 40 starts at the first lap (a short window); 150 runs the full
+    // `context_len` steps.
+    for origin in [40, 150] {
+        let enc = model.encode(&ctx, origin);
+        let reference = model.encode_tape(&ctx, origin);
+        assert!(!enc.cars.is_empty());
+        assert_eq!(enc.cars, reference.cars);
+        assert_eq!(enc.car_ids, reference.car_ids);
+        assert_eq!(enc.states.len(), cfg.num_layers);
+        let mut worst = 0.0f32;
+        for ((h, c), (h_ref, c_ref)) in enc.states.iter().zip(&reference.states) {
+            assert_eq!(h.shape(), h_ref.shape());
+            assert_eq!(c.shape(), c_ref.shape());
+            for (x, y) in h
+                .as_slice()
+                .iter()
+                .zip(h_ref.as_slice())
+                .chain(c.as_slice().iter().zip(c_ref.as_slice()))
+            {
+                assert!(x.is_finite() && y.is_finite());
+                worst = worst.max((x - y).abs());
+            }
+        }
+        assert!(
+            worst <= ENC_TOL,
+            "{kind:?} encoder drifted {worst} from the tape at origin {origin} (bound {ENC_TOL})"
+        );
+        // The batched kernel really ran: dozens of steps of FMA + fast
+        // activations over every car cannot all round like the tape.
+        assert_ne!(
+            state_bits(&enc.states),
+            state_bits(&reference.states),
+            "encode appears to have run the tape kernels"
+        );
+        let again = model.encode(&ctx, origin);
+        assert_eq!(
+            state_bits(&enc.states),
+            state_bits(&again.states),
+            "encoder states must replay bit-identically"
+        );
+    }
+}
+
+#[test]
+fn encoder_tracks_tape_over_context_window_rank_only() {
+    encoder_case(TargetKind::RankOnly, 72);
+}
+
+#[test]
+fn encoder_tracks_tape_over_context_window_joint() {
+    encoder_case(TargetKind::Joint, 73);
 }

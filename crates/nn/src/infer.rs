@@ -7,24 +7,26 @@
 //! every weight matrix onto the tape, node bookkeeping for each op, and a
 //! clone of every output back off the tape. The `Infer*` structs here are
 //! built by a **one-shot conversion** from a trained [`ParamStore`]
-//! (weights cloned once, at conversion time) and then step on caller-owned
-//! scratch buffers — zero per-step allocation after the first step warms
-//! the buffers up.
+//! (weights cloned once, at conversion time). The LSTM steps in place on
+//! caller-owned state and a caller-owned [`BatchScratch`], so a warm step
+//! allocates nothing; the other layers return freshly allocated outputs.
 //!
 //! # Parity guarantee
 //!
-//! Every forward below computes each output element with the *same
-//! per-element arithmetic order* as the corresponding tape forward, even
-//! where the serving kernels tile or fuse differently: `matmul_into`
-//! accumulates over ascending `k` with separate mul/add (Rust never
-//! contracts them into FMAs) and preserves the zero-skip, the fused
-//! gate/state kernels apply the same scalar chain per element as the
-//! unfused tape ops, and both backends share the single `sigmoid`/`tanh`
-//! definition in `rpf_tensor::scalar`. Only the order *across* elements
-//! changes, which no element observes — so the results are
-//! **bit-identical** to the tape path, pinned by
-//! `crates/nn/tests/infer_parity.rs` and the engine-level determinism
-//! suite in `crates/core`.
+//! Two contracts, one per kernel family:
+//!
+//! * **Bitwise.** [`InferLinear`], [`InferMlp`], [`InferGaussianHead::forward`],
+//!   [`InferEmbedding`] and the Transformer layers call the tape's own
+//!   allocating kernels (`matmul`, `ops::add_row`, ...) in the tape's op
+//!   order, and the in-place activations apply the same scalar formula as
+//!   their allocating twins. Their outputs are **bit-identical** to the tape
+//!   forward, pinned by `crates/nn/tests/infer_parity.rs`.
+//! * **Tolerance.** [`InferStackedLstm::step`] and
+//!   [`InferGaussianHead::forward_batch`] run the FMA / fast-activation
+//!   kernels of `rpf_tensor::batched`. They track the tape within a pinned
+//!   bound (`DESIGN.md` §13) and are bit-deterministic and row-independent
+//!   for a fixed batch layout: a row's bits do not depend on which rows
+//!   share its batch, so threads, shards and the wire cannot move them.
 
 use crate::attention::{causal_mask, DecoderLayer, EncoderLayer, LayerNorm, MultiHeadAttention};
 use crate::embedding::Embedding;
@@ -34,7 +36,7 @@ use crate::lstm::{LstmCell, StackedLstm};
 use crate::mlp::{Activation, Mlp};
 use crate::params::ParamStore;
 use rpf_tensor::batched::{dual_affine_into, lstm_step_fused_batched};
-use rpf_tensor::matmul::{matmul, matmul_into};
+use rpf_tensor::matmul::matmul;
 use rpf_tensor::{ops, Matrix};
 
 /// Forward-only dense layer: concrete `W` and `b`, no tape.
@@ -57,48 +59,17 @@ impl InferLinear {
         self.w.cols()
     }
 
-    /// `out = x W + b` into a reusable buffer (allocation-free once warm).
-    pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
-        matmul_into(x, &self.w, out);
-        ops::add_row_assign(out, &self.b);
-    }
-
-    /// Allocating forward for callers without a scratch buffer.
+    /// `x W + b` on the tape's kernels (`matmul`, then `add_row`).
     pub fn forward(&self, x: &Matrix) -> Matrix {
         ops::add_row(&matmul(x, &self.w), &self.b)
     }
 }
 
-/// Reusable pre-activation buffers shared by every LSTM layer in a stack.
-#[derive(Clone, Debug)]
-pub struct LstmScratch {
-    gates: Matrix,
-    gh: Matrix,
-}
-
-impl LstmScratch {
-    pub fn new() -> LstmScratch {
-        LstmScratch {
-            gates: Matrix::zeros(0, 0),
-            gh: Matrix::zeros(0, 0),
-        }
-    }
-}
-
-impl Default for LstmScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Pre-activation buffer for the batched lock-step decode path
-/// ([`InferStackedLstm::step_batch`]). Caller-owned like [`LstmScratch`]
-/// and allocation-free once warm; kept as a distinct type so a call site
-/// can hold both backends' scratch without the buffers thrashing each
-/// other's shapes. `gates` holds only a `4 × 4·hidden` tile: the fused
-/// step kernel ([`lstm_step_fused_batched`]) runs GEMM, activation, and
-/// state update tile-by-tile, so the batch-sized pre-activation block is
-/// never materialised.
+/// Caller-owned gate buffer for [`InferStackedLstm::step`], allocation-free
+/// once warm. `gates` holds only a `4 × 4·hidden` tile: the fused step
+/// kernel ([`lstm_step_fused_batched`]) runs GEMM, activation, and state
+/// update tile-by-tile, so the batch-sized pre-activation block is never
+/// materialised.
 #[derive(Clone, Debug)]
 pub struct BatchScratch {
     gates: Matrix,
@@ -140,33 +111,12 @@ impl InferLstmCell {
         }
     }
 
-    /// One time step, updating `h` and `c` in place. Per element the math is
-    /// the tape's op sequence exactly — matmul, matmul, add, broadcast-add,
-    /// gate activations, state update — so the new state is bit-identical to
-    /// [`LstmCell::step`](crate::lstm::LstmCell::step); the adds, bias
-    /// broadcast, and activations are collapsed into one buffer sweep
-    /// ([`ops::lstm_gates_fused`]), which elementwise ops permit without
-    /// changing any value.
-    pub fn step(&self, x: &Matrix, h: &mut Matrix, c: &mut Matrix, scratch: &mut LstmScratch) {
-        let LstmScratch { gates, gh } = scratch;
-        matmul_into(x, &self.w_ih, gates);
-        matmul_into(h, &self.w_hh, gh);
-        ops::lstm_gates_fused(gates, gh, &self.bias, self.hidden_dim);
-        ops::lstm_state_update(gates, c, h, self.hidden_dim);
-    }
-
-    /// Batched lock-step variant of [`InferLstmCell::step`] on the FMA /
+    /// One time step, updating `h` and `c` in place, on the FMA /
     /// fast-activation kernels (`rpf_tensor::batched`). Not bit-identical
-    /// to the tape — within a few ulps per element — but row-independent
-    /// and bit-deterministic for a fixed batch layout; see the batched
-    /// decode tolerance contract in `DESIGN.md` §13.
-    pub fn step_batch(
-        &self,
-        x: &Matrix,
-        h: &mut Matrix,
-        c: &mut Matrix,
-        scratch: &mut BatchScratch,
-    ) {
+    /// to [`LstmCell::step`](crate::lstm::LstmCell::step) — within a few
+    /// ulps per element — but row-independent and bit-deterministic for a
+    /// fixed batch layout; see the tolerance contract in `DESIGN.md` §13.
+    pub fn step(&self, x: &Matrix, h: &mut Matrix, c: &mut Matrix, scratch: &mut BatchScratch) {
         let BatchScratch { gates } = scratch;
         lstm_step_fused_batched(
             x,
@@ -219,7 +169,8 @@ impl InferStackedLstm {
 
     /// One time step through the full stack, updating every layer's state in
     /// place; the top layer's hidden output is `states.last().0` afterwards.
-    pub fn step(&self, x: &Matrix, states: &mut [(Matrix, Matrix)], scratch: &mut LstmScratch) {
+    /// Zero per-step allocation once `scratch` is warm.
+    pub fn step(&self, x: &Matrix, states: &mut [(Matrix, Matrix)], scratch: &mut BatchScratch) {
         assert_eq!(states.len(), self.layers.len(), "state count mismatch");
         {
             let (h, c) = &mut states[0];
@@ -230,50 +181,6 @@ impl InferStackedLstm {
             let (h, c) = &mut rest[0];
             self.layers[l].step(&prev[l - 1].0, h, c, scratch);
         }
-    }
-
-    /// Batched lock-step mirror of [`InferStackedLstm::step`] on a
-    /// caller-owned [`BatchScratch`] — zero per-step allocation once the
-    /// scratch is warm. Same stacking semantics; kernels are the
-    /// tolerance-pinned `rpf_tensor::batched` set.
-    pub fn step_batch(
-        &self,
-        x: &Matrix,
-        states: &mut [(Matrix, Matrix)],
-        scratch: &mut BatchScratch,
-    ) {
-        assert_eq!(states.len(), self.layers.len(), "state count mismatch");
-        {
-            let (h, c) = &mut states[0];
-            self.layers[0].step_batch(x, h, c, scratch);
-        }
-        for l in 1..self.layers.len() {
-            let (prev, rest) = states.split_at_mut(l);
-            let (h, c) = &mut rest[0];
-            self.layers[l].step_batch(&prev[l - 1].0, h, c, scratch);
-        }
-    }
-}
-
-/// Ping-pong buffers for [`InferMlp::forward_into`].
-#[derive(Clone, Debug)]
-pub struct MlpScratch {
-    a: Matrix,
-    b: Matrix,
-}
-
-impl MlpScratch {
-    pub fn new() -> MlpScratch {
-        MlpScratch {
-            a: Matrix::zeros(0, 0),
-            b: Matrix::zeros(0, 0),
-        }
-    }
-}
-
-impl Default for MlpScratch {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -296,38 +203,18 @@ impl InferMlp {
         }
     }
 
-    fn activate(&self, m: &mut Matrix) {
-        match self.activation {
-            Activation::Relu => ops::relu_assign(m),
-            Activation::Tanh => ops::tanh_assign(m),
-        }
-    }
-
-    /// Forward pass into `out`, alternating between the two scratch buffers
-    /// for the hidden layers (the final layer is linear, like the tape path).
-    pub fn forward_into(&self, x: &Matrix, scratch: &mut MlpScratch, out: &mut Matrix) {
-        let n = self.layers.len();
-        if n == 1 {
-            self.layers[0].forward_into(x, out);
-            return;
-        }
-        self.layers[0].forward_into(x, &mut scratch.a);
-        self.activate(&mut scratch.a);
-        for i in 1..n - 1 {
-            if i % 2 == 1 {
-                self.layers[i].forward_into(&scratch.a, &mut scratch.b);
-                self.activate(&mut scratch.b);
-            } else {
-                self.layers[i].forward_into(&scratch.b, &mut scratch.a);
-                self.activate(&mut scratch.a);
+    /// Forward pass; every layer but the last is followed by the
+    /// activation, like the tape path.
+    pub fn forward(&self, x: &Matrix) -> Matrix {
+        let mut h = self.layers[0].forward(x);
+        for layer in &self.layers[1..] {
+            match self.activation {
+                Activation::Relu => ops::relu_assign(&mut h),
+                Activation::Tanh => ops::tanh_assign(&mut h),
             }
+            h = layer.forward(&h);
         }
-        let src = if (n - 1) % 2 == 1 {
-            &scratch.a
-        } else {
-            &scratch.b
-        };
-        self.layers[n - 1].forward_into(src, out);
+        h
     }
 }
 
@@ -348,23 +235,25 @@ impl InferGaussianHead {
         }
     }
 
-    /// `h` is `(batch, hidden)`; fills `(batch, 1)` `mu_out` / `sigma_out`.
-    pub fn forward_into(&self, h: &Matrix, mu_out: &mut Matrix, sigma_out: &mut Matrix) {
+    /// `h` is `(batch, hidden)`; returns `(batch, 1)` `(mu, sigma)`,
+    /// bit-identical to the tape head.
+    pub fn forward(&self, h: &Matrix) -> (Matrix, Matrix) {
         // The head's constituent kernels (two GEMVs, softplus, floor add)
         // profile as one `gaussian_head` row in the operator breakdown.
         let _scope = rpf_obs::ops::class_scope(rpf_obs::ops::OpClass::GaussianHead);
-        self.mu.forward_into(h, mu_out);
-        self.sigma.forward_into(h, sigma_out);
-        ops::softplus_assign(sigma_out);
-        ops::add_scalar_assign(sigma_out, SIGMA_FLOOR);
+        let mu = self.mu.forward(h);
+        let mut sigma = self.sigma.forward(h);
+        ops::softplus_assign(&mut sigma);
+        ops::add_scalar_assign(&mut sigma, SIGMA_FLOOR);
+        (mu, sigma)
     }
 
-    /// Batched mirror of [`InferGaussianHead::forward_into`] for the
-    /// lock-step batched decode: the mu/sigma projections run as one fused
-    /// pass over the `(batch, hidden)` block (`dual_affine_into`) instead
-    /// of two `n == 1` GEMVs, then the same softplus + floor sweeps. Within
-    /// a few ulps of the tape head; row-independent, so each row's output
-    /// is invariant to the rest of the batch.
+    /// Batched variant of [`InferGaussianHead::forward`] for the lock-step
+    /// decode: the mu/sigma projections run as one fused pass over the
+    /// `(batch, hidden)` block (`dual_affine_into`) into caller-owned
+    /// outputs, then the same softplus + floor sweeps. Within a few ulps of
+    /// the tape head; row-independent, so each row's output is invariant to
+    /// the rest of the batch.
     pub fn forward_batch(&self, h: &Matrix, mu_out: &mut Matrix, sigma_out: &mut Matrix) {
         let _scope = rpf_obs::ops::class_scope(rpf_obs::ops::OpClass::GaussianHead);
         dual_affine_into(
@@ -621,14 +510,11 @@ mod tests {
         let y_tape = tape.value(lin.forward(&bind, tape.leaf(x.clone())));
 
         let inf = InferLinear::from_store(&store, &lin);
-        let mut out = Matrix::zeros(0, 0);
-        inf.forward_into(&x, &mut out);
-        assert_bits_eq(&out, &y_tape);
         assert_bits_eq(&inf.forward(&x), &y_tape);
     }
 
     #[test]
-    fn stacked_lstm_steps_match_tape_bitwise() {
+    fn stacked_lstm_steps_track_tape() {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(31);
         let stack = StackedLstm::new(&mut store, &mut rng, "enc", 5, 4, 2);
@@ -639,16 +525,23 @@ mod tests {
 
         let inf = InferStackedLstm::from_store(&store, &stack);
         let mut states = inf.zero_state(3);
-        let mut scratch = LstmScratch::new();
+        let mut scratch = BatchScratch::new();
 
+        // FMA + fast activations: within a few ulps per step, not bitwise.
+        let close = |a: &Matrix, b: &Matrix| {
+            assert_eq!(a.shape(), b.shape());
+            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+                assert!((x - y).abs() <= 1e-5, "{x} vs {y}");
+            }
+        };
         for step in 0..4 {
             let x = ramp(3, 5, 0.1 * (step as f32 + 1.0));
             let (_, new_states) = stack.step(&bind, tape.leaf(x.clone()), &tape_states);
             tape_states = new_states;
             inf.step(&x, &mut states, &mut scratch);
             for (l, s) in tape_states.iter().enumerate() {
-                assert_bits_eq(&states[l].0, &tape.value(s.h));
-                assert_bits_eq(&states[l].1, &tape.value(s.c));
+                close(&states[l].0, &tape.value(s.h));
+                close(&states[l].1, &tape.value(s.c));
             }
         }
     }
@@ -670,10 +563,7 @@ mod tests {
             let y_tape = tape.value(mlp.forward(&bind, tape.leaf(x.clone())));
 
             let inf = InferMlp::from_store(&store, &mlp);
-            let mut scratch = MlpScratch::new();
-            let mut out = Matrix::zeros(0, 0);
-            inf.forward_into(&x, &mut scratch, &mut out);
-            assert_bits_eq(&out, &y_tape);
+            assert_bits_eq(&inf.forward(&x), &y_tape);
         }
     }
 
@@ -691,9 +581,7 @@ mod tests {
         let sigma_tape = tape.value(p.sigma);
 
         let inf = InferGaussianHead::from_store(&store, &head);
-        let mut mu = Matrix::zeros(0, 0);
-        let mut sigma = Matrix::zeros(0, 0);
-        inf.forward_into(&h, &mut mu, &mut sigma);
+        let (mu, sigma) = inf.forward(&h);
         assert_bits_eq(&mu, &mu_tape);
         assert_bits_eq(&sigma, &sigma_tape);
         assert!(sigma.as_slice().iter().all(|&s| s >= SIGMA_FLOOR));

@@ -46,7 +46,7 @@ pub use data::{Batch, BatchIter};
 pub use gaussian::GaussianHead;
 pub use infer::{
     BatchScratch, InferEmbedding, InferGaussianHead, InferLinear, InferLstmCell, InferMlp,
-    InferStackedLstm, LstmScratch, MlpScratch,
+    InferStackedLstm,
 };
 pub use linear::Linear;
 pub use lstm::{LstmCell, StackedLstm};

@@ -1,9 +1,10 @@
 //! Property-based parity suite for the tape-free inference runtime: for
 //! arbitrary weight seeds (→ arbitrary `ParamStore` contents) and arbitrary
-//! inputs, every `Infer*` forward must be **bit-identical** to the tape
-//! forward of the layer it mirrors. Comparisons are on `f32::to_bits`, not
-//! tolerances — the runtime's whole contract is that splitting serving off
-//! the training graph changes no output at all.
+//! inputs, every `Infer*` layer is pinned against the tape forward of the
+//! layer it mirrors. The Linear, MLP and Gaussian-head forwards run the
+//! tape's own kernels and are compared on `f32::to_bits`; the LSTM step and
+//! the batched head run the FMA kernels and are compared within a pinned
+//! tolerance (second half of this file).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -12,7 +13,7 @@ use rpf_autodiff::Tape;
 use rpf_nn::mlp::Activation;
 use rpf_nn::{
     BatchScratch, Binding, GaussianHead, InferGaussianHead, InferLinear, InferMlp,
-    InferStackedLstm, Linear, LstmScratch, Mlp, MlpScratch, ParamStore, StackedLstm,
+    InferStackedLstm, Linear, Mlp, ParamStore, StackedLstm,
 };
 use rpf_tensor::Matrix;
 
@@ -42,41 +43,7 @@ proptest! {
         let want = tape.value(lin.forward(&bind, tape.leaf(x.clone())));
 
         let inf = InferLinear::from_store(&store, &lin);
-        let mut out = Matrix::zeros(0, 0);
-        inf.forward_into(&x, &mut out);
-        assert_bits(&out, &want)?;
         assert_bits(&inf.forward(&x), &want)?;
-    }
-
-    #[test]
-    fn stacked_lstm_parity(
-        x0 in matrix(3, 5),
-        x1 in matrix(3, 5),
-        x2 in matrix(3, 5),
-        seed in 0u64..1000,
-    ) {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let stack = StackedLstm::new(&mut store, &mut rng, "s", 5, 4, 2);
-        let tape = Tape::new();
-        let bind = Binding::new(&tape, &store);
-        let mut tape_states = stack.zero_state(&bind, 3);
-
-        let inf = InferStackedLstm::from_store(&store, &stack);
-        let mut states = inf.zero_state(3);
-        let mut scratch = LstmScratch::new();
-
-        // Multi-step: state feedback means a single first-step divergence
-        // would compound, so agreement here pins the whole recurrence.
-        for x in [&x0, &x1, &x2] {
-            let (_, new_states) = stack.step(&bind, tape.leaf(x.clone()), &tape_states);
-            tape_states = new_states;
-            inf.step(x, &mut states, &mut scratch);
-        }
-        for (l, s) in tape_states.iter().enumerate() {
-            assert_bits(&states[l].0, &tape.value(s.h))?;
-            assert_bits(&states[l].1, &tape.value(s.c))?;
-        }
     }
 
     #[test]
@@ -90,10 +57,7 @@ proptest! {
         let want = tape.value(mlp.forward(&bind, tape.leaf(x.clone())));
 
         let inf = InferMlp::from_store(&store, &mlp);
-        let mut scratch = MlpScratch::new();
-        let mut out = Matrix::zeros(0, 0);
-        inf.forward_into(&x, &mut scratch, &mut out);
-        assert_bits(&out, &want)?;
+        assert_bits(&inf.forward(&x), &want)?;
     }
 
     #[test]
@@ -106,40 +70,20 @@ proptest! {
         let p = head.forward(&bind, tape.leaf(h.clone()));
 
         let inf = InferGaussianHead::from_store(&store, &head);
-        let mut mu = Matrix::zeros(0, 0);
-        let mut sigma = Matrix::zeros(0, 0);
-        inf.forward_into(&h, &mut mu, &mut sigma);
+        let (mu, sigma) = inf.forward(&h);
         assert_bits(&mu, &tape.value(p.mu))?;
         assert_bits(&sigma, &tape.value(p.sigma))?;
-    }
-
-    #[test]
-    fn scratch_reuse_across_shapes_is_clean(
-        a in matrix(2, 6),
-        b in matrix(7, 6),
-        seed in 0u64..1000,
-    ) {
-        // A scratch buffer warmed at one batch size must not leak stale
-        // values into a differently-sized call.
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let lin = Linear::new(&mut store, &mut rng, "l", 6, 4);
-        let inf = InferLinear::from_store(&store, &lin);
-        let mut out = Matrix::zeros(0, 0);
-        inf.forward_into(&a, &mut out);
-        inf.forward_into(&b, &mut out);
-        assert_bits(&out, &inf.forward(&b))?;
     }
 }
 
 // ---- batched backend parity --------------------------------------------
 //
-// The batched mirrors (`step_batch` / `forward_batch`) run FMA-contracted
-// GEMMs and polynomial fast activations, so their contract is *tolerance*,
-// not bits: outputs track the bitwise reference path within `BATCH_TOL`,
-// and are bit-deterministic / row-independent in their own right.
+// The LSTM step and the batched head (`step` / `forward_batch`) run
+// FMA-contracted GEMMs and polynomial fast activations, so their contract
+// is *tolerance*, not bits: outputs track the tape within `BATCH_TOL`, and
+// are bit-deterministic / row-independent in their own right.
 
-/// Pinned batched-vs-reference bound. Headroom decomposition: the fast
+/// Pinned batched-vs-tape bound. Headroom decomposition: the fast
 /// tanh/sigmoid rationals are within 2e-6 of libm, FMA contraction differs
 /// from separate mul/add by a few ulps per dot product, and the LSTM state
 /// feedback compounds those over `STEPS` steps — comfortably under 1e-4
@@ -182,23 +126,47 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn step_batch_tracks_per_row_reference(
+    fn step_tracks_tape_reference(
         (b, xs) in batch_inputs(),
         seed in 0u64..1000,
     ) {
         let (store, stack) = lstm_fixture(seed);
+        let tape = Tape::new();
+        let bind = Binding::new(&tape, &store);
+        let mut tape_states = stack.zero_state(&bind, b);
         let inf = InferStackedLstm::from_store(&store, &stack);
-        let mut ref_states = inf.zero_state(b);
-        let mut bat_states = inf.zero_state(b);
-        let mut ref_scratch = LstmScratch::new();
-        let mut bat_scratch = BatchScratch::new();
+        let mut states = inf.zero_state(b);
+        let mut scratch = BatchScratch::new();
         for x in &xs {
-            inf.step(x, &mut ref_states, &mut ref_scratch);
-            inf.step_batch(x, &mut bat_states, &mut bat_scratch);
+            let (_, new_states) = stack.step(&bind, tape.leaf(x.clone()), &tape_states);
+            tape_states = new_states;
+            inf.step(x, &mut states, &mut scratch);
         }
-        for l in 0..ref_states.len() {
-            assert_close(&bat_states[l].0, &ref_states[l].0, BATCH_TOL)?;
-            assert_close(&bat_states[l].1, &ref_states[l].1, BATCH_TOL)?;
+        for (l, s) in tape_states.iter().enumerate() {
+            assert_close(&states[l].0, &tape.value(s.h), BATCH_TOL)?;
+            assert_close(&states[l].1, &tape.value(s.c), BATCH_TOL)?;
+        }
+    }
+
+    #[test]
+    fn scratch_reuse_across_shapes_is_clean(
+        a in matrix(2, IN_DIM),
+        b in matrix(7, IN_DIM),
+        seed in 0u64..1000,
+    ) {
+        // A scratch buffer warmed at one batch size must not leak stale
+        // values into a differently-sized call.
+        let (store, stack) = lstm_fixture(seed);
+        let inf = InferStackedLstm::from_store(&store, &stack);
+        let mut scratch = BatchScratch::new();
+        inf.step(&a, &mut inf.zero_state(2), &mut scratch);
+        let mut warm = inf.zero_state(7);
+        inf.step(&b, &mut warm, &mut scratch);
+        let mut fresh = inf.zero_state(7);
+        inf.step(&b, &mut fresh, &mut BatchScratch::new());
+        for l in 0..fresh.len() {
+            assert_bits(&warm[l].0, &fresh[l].0)?;
+            assert_bits(&warm[l].1, &fresh[l].1)?;
         }
     }
 
@@ -208,8 +176,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let head = GaussianHead::new(&mut store, &mut rng, "g", 7);
         let inf = InferGaussianHead::from_store(&store, &head);
-        let (mut mu, mut sigma) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        inf.forward_into(&h, &mut mu, &mut sigma);
+        let (mu, sigma) = inf.forward(&h);
         let (mut mu_b, mut sigma_b) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         inf.forward_batch(&h, &mut mu_b, &mut sigma_b);
         assert_close(&mu_b, &mu, BATCH_TOL)?;
@@ -221,7 +188,7 @@ proptest! {
     }
 
     #[test]
-    fn step_batch_rows_are_layout_independent(
+    fn step_rows_are_layout_independent(
         (b, xs) in batch_inputs(),
         seed in 0u64..1000,
     ) {
@@ -232,14 +199,14 @@ proptest! {
         let mut full = inf.zero_state(b);
         let mut scratch = BatchScratch::new();
         for x in &xs {
-            inf.step_batch(x, &mut full, &mut scratch);
+            inf.step(x, &mut full, &mut scratch);
         }
         for r in 0..b {
             let mut solo = inf.zero_state(1);
             let mut solo_scratch = BatchScratch::new();
             for x in &xs {
                 let xr = Matrix::from_vec(1, IN_DIM, x.row(r).to_vec());
-                inf.step_batch(&xr, &mut solo, &mut solo_scratch);
+                inf.step(&xr, &mut solo, &mut solo_scratch);
             }
             for l in 0..full.len() {
                 for (got, want) in solo[l].0.row(0).iter().zip(full[l].0.row(r)) {
@@ -255,7 +222,7 @@ proptest! {
 
 /// Repeated batched runs at a fixed layout are bit-identical — the batched
 /// contract's own determinism half (the other half, tolerance against the
-/// reference, is the proptests above).
+/// tape, is the proptests above).
 #[test]
 fn batched_runs_are_bit_deterministic_for_fixed_layout() {
     let (store, stack) = lstm_fixture(7);
@@ -281,7 +248,7 @@ fn batched_runs_are_bit_deterministic_for_fixed_layout() {
         let mut states = inf.zero_state(100);
         let mut scratch = BatchScratch::new();
         for x in &xs {
-            inf.step_batch(x, &mut states, &mut scratch);
+            inf.step(x, &mut states, &mut scratch);
         }
         let (mut mu, mut sigma) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         inf_head.forward_batch(&states[1].0, &mut mu, &mut sigma);

@@ -1,20 +1,21 @@
-//! Lock-step batched decode kernels: FMA GEMM + fast-activation LSTM.
+//! Lock-step batched LSTM kernels: FMA GEMM + fast-activation LSTM.
 //!
-//! The kernels in [`crate::matmul`] and [`crate::ops`] are bound by the
-//! bitwise tape-parity contract: separate mul/add (never FMA), zero-skip,
-//! and the shared libm-backed `sigmoid`/`tanh`. That contract caps the GEMM
-//! at the non-FMA vector roofline and spends over a fifth of decode time in
-//! scalar `exp` calls. The batched decode trades that contract for
-//! a *tolerance-pinned* one (see `DESIGN.md` §13): results may differ from
-//! the tape in the last few ulps per step, but must be **bit-deterministic
-//! for a fixed batch layout** and — crucially — **row-independent**: every
+//! The tape's kernels in [`crate::matmul`] and [`crate::ops`] use separate
+//! mul/add (never FMA), skip zero multiplicands, and share the libm-backed
+//! `sigmoid`/`tanh`. That caps the GEMM at the non-FMA vector roofline and
+//! spends over a fifth of an LSTM step in scalar `exp` calls. Every serving
+//! LSTM step — the encoder over the observed history and the Monte-Carlo
+//! decoder — runs the kernels here instead, under a *tolerance-pinned*
+//! contract (see `DESIGN.md` §13): results may differ from the tape in the
+//! last few ulps per step, but must be **bit-deterministic for a fixed
+//! batch layout** and — crucially — **row-independent**: every
 //! output row is a pure function of its own input row and the weights, with
 //! a fixed accumulation order, so rows decode to identical bits no matter
 //! which other rows share the batch. Row independence is what lets the
 //! serving layer fold coalesced requests into one GEMM without perturbing
 //! any response.
 //!
-//! Three levers over the reference kernels:
+//! Three levers over the tape's kernels:
 //! - [`matmul_fma_into`]: ascending-`k` accumulation contracted to
 //!   `f32::mul_add` (compiles to `vfmadd` under `-C target-cpu=native`),
 //!   no zero-skip branch — double the per-cycle flops of mul+add.
@@ -27,17 +28,17 @@
 //!   per row) instead of two `n == 1` GEMVs.
 //!
 //! GEMM time is attributed to the `matmul_batched` operator class; the
-//! fused gate/state kernels report under the same classes as their
-//! reference counterparts so the operator-breakdown table stays comparable
-//! across backends.
+//! stand-alone gate/state sweeps report under the `lstm_gates_fused` /
+//! `lstm_state_update` classes, which serving leaves empty (it runs the
+//! tile-fused step, recorded as `matmul_batched`).
 
 use crate::matrix::Matrix;
 use rpf_obs::ops::{self, OpClass};
 
-/// Register-tile width, matching [`crate::matmul`]'s slab size. Measured
-/// best on this kernel shape (`n` = 4·hidden = 160, small `k`): narrower
-/// 16-wide slabs halve the work amortizing each A-element broadcast and
-/// lose ~25% throughput despite the lower register pressure.
+/// Register-tile width, measured best on this kernel shape (`n` =
+/// 4·hidden = 160, small `k`): narrower 16-wide slabs halve the work
+/// amortizing each A-element broadcast and lose ~25% throughput despite the
+/// lower register pressure.
 const TILE: usize = 32;
 
 /// One `TILE`-wide FMA slab update for a single row: `acc = a_rk ⊛ b + acc`.
@@ -447,13 +448,11 @@ fn state_update_row(g_row: &[f32], c_row: &mut [f32], h_row: &mut [f32], hidden:
     }
 }
 
-/// Batched counterpart of [`crate::ops::lstm_gates_fused`]:
-/// `gates = act(gates + bias_row)` in one pass, gate layout `[i f g o]`,
-/// with [`fast_sigmoid`]/[`fast_tanh`] in place of the libm activations.
-/// Unlike the reference kernel there is no separate `gh` operand — the
-/// recurrent product is already folded into `gates` by the paired GEMM
-/// ([`matmul_fma2_into`]), so this sweep only broadcasts the bias and
-/// applies the activation polynomials.
+/// LSTM gate activation sweep: `gates = act(gates + bias_row)` in one
+/// pass, gate layout `[i f g o]`, with [`fast_sigmoid`]/[`fast_tanh`] in
+/// place of the libm activations. The recurrent product is already folded
+/// into `gates` by the paired GEMM ([`matmul_fma2_into`]), so this sweep
+/// only broadcasts the bias and applies the activation polynomials.
 pub fn lstm_gates_fused_batched(gates: &mut Matrix, bias: &Matrix, hidden: usize) {
     assert_eq!(
         gates.cols(),
@@ -481,7 +480,7 @@ pub fn lstm_gates_fused_batched(gates: &mut Matrix, bias: &Matrix, hidden: usize
     ops::record(OpClass::LstmGatesFused, 11 * n, 16 * n, started);
 }
 
-/// Batched mirror of [`crate::ops::lstm_state_update`]:
+/// LSTM state update from activated gates:
 /// `c = f⊙c + i⊙g` then `h = o⊙tanh(c)` with [`fast_tanh`] and the inner
 /// add contracted to an FMA, vectorized over each row.
 pub fn lstm_state_update_batched(gates: &Matrix, c: &mut Matrix, h: &mut Matrix, hidden: usize) {
@@ -853,23 +852,30 @@ mod tests {
 
     #[test]
     fn batched_lstm_kernels_track_reference() {
+        use crate::ops::{add, add_row, mul, sigmoid, tanh};
         let hidden = 16;
         let batch = 9;
-        let mut gates_a = pseudo_random_matrix(batch, 4 * hidden, 21);
+        let gx = pseudo_random_matrix(batch, 4 * hidden, 21);
         let gh = pseudo_random_matrix(batch, 4 * hidden, 22);
+        let bias = pseudo_random_matrix(1, 4 * hidden, 23);
+        let c0 = pseudo_random_matrix(batch, hidden, 24);
+
+        // Reference: the tape's elementwise chain in `LstmCell::step`'s op
+        // order (add, broadcast bias, per-block activations, state update).
+        let pre = add_row(&add(&gx, &gh), &bias);
+        let i = sigmoid(&pre.slice_cols(0, hidden));
+        let f = sigmoid(&pre.slice_cols(hidden, 2 * hidden));
+        let g = tanh(&pre.slice_cols(2 * hidden, 3 * hidden));
+        let o = sigmoid(&pre.slice_cols(3 * hidden, 4 * hidden));
+        let c_a = add(&mul(&f, &c0), &mul(&i, &g));
+        let h_a = mul(&o, &tanh(&c_a));
+
         // The batched path folds gh into the pre-activations inside the
         // paired GEMM before the fused sweep; emulate that here so both
         // pipelines see the same pre-activation totals.
-        let mut gates_b =
-            Matrix::from_fn(batch, 4 * hidden, |r, c| gates_a.get(r, c) + gh.get(r, c));
-        let bias = pseudo_random_matrix(1, 4 * hidden, 23);
-        let mut c_a = pseudo_random_matrix(batch, hidden, 24);
-        let mut c_b = c_a.clone();
-        let mut h_a = Matrix::zeros(batch, hidden);
+        let mut gates_b = add(&gx, &gh);
+        let mut c_b = c0.clone();
         let mut h_b = Matrix::zeros(batch, hidden);
-
-        crate::ops::lstm_gates_fused(&mut gates_a, &gh, &bias, hidden);
-        crate::ops::lstm_state_update(&gates_a, &mut c_a, &mut h_a, hidden);
         lstm_gates_fused_batched(&mut gates_b, &bias, hidden);
         lstm_state_update_batched(&gates_b, &mut c_b, &mut h_b, hidden);
 

@@ -7,7 +7,8 @@
 //! * [`Matrix`] — a row-major dense `f32` matrix with shape-checked ops,
 //! * a blocked, cache-friendly matrix multiply that goes parallel via
 //!   `crossbeam` scoped threads once the work is large enough,
-//! * [`batched`] — the FMA lock-step kernels of the batched decoder.
+//! * [`batched`] — the FMA lock-step kernels every serving LSTM step runs
+//!   (the encoder and the batched decoder).
 //!
 //! The kernel set mirrors the five operations the paper identifies inside an
 //! LSTM cell: `MatMul`, elementwise `Mul`, `Add`, `Sigmoid` and `Tanh`.

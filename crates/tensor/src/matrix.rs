@@ -265,24 +265,11 @@ impl Matrix {
         out
     }
 
-    /// Reshape in place to `rows x cols` with every element zeroed, reusing
-    /// the existing allocation when capacity allows. This is the reset
-    /// primitive for inference scratch buffers: after a warm-up pass the
-    /// buffer never reallocates, so a decode step is allocation-free.
-    pub fn reset_zeroed(&mut self, rows: usize, cols: usize) {
-        let n = rows * cols;
-        self.data.clear();
-        self.data.resize(n, 0.0);
-        self.rows = rows;
-        self.cols = cols;
-    }
-
     /// Resize to `rows x cols` *without* clearing: retained elements keep
     /// whatever stale values they held, and only newly-grown slots are
     /// zeroed. Strictly for kernels that overwrite every element before the
-    /// buffer is observed (e.g. the register-tiled `matmul_into` when the
-    /// width is a whole number of tiles) — everyone else wants
-    /// [`Matrix::reset_zeroed`].
+    /// buffer is observed (the `batched` kernels' caller-owned outputs), so
+    /// a warm scratch buffer never reallocates.
     pub fn reset_for_overwrite(&mut self, rows: usize, cols: usize) {
         let n = rows * cols;
         self.data.resize(n, 0.0);
@@ -416,18 +403,6 @@ mod tests {
         let r = m.clone().reshape(3, 4);
         assert_eq!(r.as_slice(), m.as_slice());
         assert_eq!(r.shape(), (3, 4));
-    }
-
-    #[test]
-    fn reset_zeroed_reuses_capacity_and_clears() {
-        let mut m = Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f32 + 1.0);
-        m.reset_zeroed(2, 3);
-        assert_eq!(m.shape(), (2, 3));
-        assert!(m.as_slice().iter().all(|&v| v == 0.0));
-        // Growing within a previously-seen size also works.
-        m.reset_zeroed(4, 4);
-        assert_eq!(m.shape(), (4, 4));
-        assert!(m.as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Scalar transcendental primitives shared by every elementwise kernel.
 //!
-//! There is exactly one `sigmoid` and one `tanh` in the workspace — both the
-//! training-graph ops and the tape-free inference runtime route through the
-//! functions here, which is what makes backend parity a *bit* guarantee
-//! rather than a tolerance: two paths that apply the same scalar function in
-//! the same order cannot drift.
+//! There is exactly one tape-side `sigmoid` and one `tanh` in the
+//! workspace — the training-graph ops and the tape-free layers that keep the
+//! bitwise contract (an MLP's tanh activation) route through the functions
+//! here, so for them backend parity is a *bit* guarantee rather than a
+//! tolerance: two paths that apply the same scalar function in the same
+//! order cannot drift. The batched LSTM kernels use the faster
+//! `batched::fast_tanh` / `fast_sigmoid` under a pinned tolerance instead.
 //!
 //! The implementations are branch-free polynomial forms (Cephes-style `expf`
 //! with Cody–Waite range reduction) instead of `libm` calls so that LLVM can

@@ -17,7 +17,7 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== no-unwrap gate (core/nn/serve/gateway/obs + capacity planner non-test code) =="
 bash scripts/check_no_unwrap.sh
 
-echo "== backend parity (tape-free bitwise + batched mirrors vs per-row) =="
+echo "== backend parity (Linear/MLP/head/Transformer bitwise to the tape, batched LSTM step within tolerance of the tape) =="
 cargo test -q -p rpf-nn --test infer_parity --offline
 
 echo "== decode parity (batched vs tape within tolerance, bit-deterministic) =="
