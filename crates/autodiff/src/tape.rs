@@ -373,7 +373,9 @@ impl Tape {
         grads[root.0] = Some(Matrix::ones(1, 1));
 
         for i in (0..=root.0).rev() {
-            let Some(g) = grads[i].clone() else { continue };
+            // Taken, not cloned: a rule only writes its parents, which sit at
+            // lower indices, and the slot is restored once the rule has run.
+            let Some(g) = grads[i].take() else { continue };
             let node = &nodes[i];
             match &node.op {
                 Op::Leaf => {}
@@ -384,11 +386,11 @@ impl Tape {
                     accumulate(&mut grads, *b, db);
                 }
                 Op::Add(a, b) => {
-                    accumulate(&mut grads, *a, g.clone());
-                    accumulate(&mut grads, *b, g.clone());
+                    accumulate_ref(&mut grads, *a, &g);
+                    accumulate_ref(&mut grads, *b, &g);
                 }
                 Op::Sub(a, b) => {
-                    accumulate(&mut grads, *a, g.clone());
+                    accumulate_ref(&mut grads, *a, &g);
                     accumulate(&mut grads, *b, ops::scale(&g, -1.0));
                 }
                 Op::Mul(a, b) => {
@@ -409,11 +411,11 @@ impl Tape {
                     accumulate(&mut grads, *b, db);
                 }
                 Op::AddRow(a, bias) => {
-                    accumulate(&mut grads, *a, g.clone());
+                    accumulate_ref(&mut grads, *a, &g);
                     accumulate(&mut grads, *bias, ops::sum_rows(&g));
                 }
                 Op::Scale(a, s) => accumulate(&mut grads, *a, ops::scale(&g, *s)),
-                Op::AddScalar(a) => accumulate(&mut grads, *a, g.clone()),
+                Op::AddScalar(a) => accumulate_ref(&mut grads, *a, &g),
                 Op::Neg(a) => accumulate(&mut grads, *a, ops::scale(&g, -1.0)),
                 Op::Sigmoid(a) => {
                     let mut da = g.clone();
@@ -547,6 +549,7 @@ impl Tape {
                     accumulate(&mut grads, *a, da);
                 }
             }
+            grads[i] = Some(g);
         }
         Gradients { grads }
     }
@@ -556,6 +559,15 @@ fn accumulate(grads: &mut [Option<Matrix>], v: Var, g: Matrix) {
     match &mut grads[v.0] {
         Some(existing) => ops::axpy(existing, 1.0, &g),
         slot @ None => *slot = Some(g),
+    }
+}
+
+/// [`accumulate`] for a gradient passed through unchanged (the fan-out of
+/// `Add`/`Sub`/`AddRow`/`AddScalar`): copied only into an empty slot.
+fn accumulate_ref(grads: &mut [Option<Matrix>], v: Var, g: &Matrix) {
+    match &mut grads[v.0] {
+        Some(existing) => ops::axpy(existing, 1.0, g),
+        slot @ None => *slot = Some(g.clone()),
     }
 }
 

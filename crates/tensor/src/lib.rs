@@ -5,8 +5,10 @@
 //! classical ML baselines. It provides:
 //!
 //! * [`Matrix`] — a row-major dense `f32` matrix with shape-checked ops,
-//! * a blocked, cache-friendly matrix multiply that goes parallel via
-//!   `crossbeam` scoped threads once the work is large enough,
+//! * [`matmul`] — the tape's three GEMMs (`matmul`, `matmul_at`,
+//!   `matmul_bt`) on one register-tiled kernel that keeps the bits of the
+//!   plain ascending-`k` loops and goes parallel via `crossbeam` scoped
+//!   threads once the output is large enough,
 //! * [`batched`] — the FMA lock-step kernels every serving LSTM step runs
 //!   (the encoder and the batched decoder).
 //!

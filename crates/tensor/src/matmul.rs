@@ -1,19 +1,30 @@
-//! Parallel dense matrix multiplication: the tape's kernels.
+//! The tape's dense matrix multiplications: one register-tiled kernel.
 //!
 //! This is the hot kernel of the whole reproduction — the paper measures
 //! that `MatMul` alone accounts for about half the LSTM training walltime
-//! (§IV-J). The implementation here uses the classic i-k-j loop order so the
-//! inner loop is a unit-stride AXPY that the compiler auto-vectorizes, plus
-//! row-parallelism over the output via [`crate::par`].
+//! (§IV-J). [`matmul`], [`matmul_at`] and [`matmul_bt`] all run one i-k-j
+//! kernel: four output rows at a time, each accumulated in `TILE`-wide
+//! register slabs across the whole `k` loop, with row-parallelism over the
+//! output via [`crate::par`]. The transposed products run it over a
+//! materialised transpose, so the backward pass's GEMMs vectorise like the
+//! forward's.
 //!
-//! These allocating kernels are the only non-FMA GEMMs in the crate. The
-//! autodiff tape trains on them, and the tape-free `Linear`/MLP/Gaussian
-//! head/Transformer forwards call the same [`matmul`], so those layers stay
-//! bit-identical to the tape. The LSTM serving steps (encoder and decoder)
-//! run the FMA kernels of [`crate::batched`] instead.
+//! Every element is `Σ_k a[i,k]·b[k,j]` in ascending `k` with separate
+//! mul/add (never FMA), skipping `a[i,k] == 0.0`. These are the only
+//! non-FMA GEMMs in the crate. The autodiff tape trains on them, and the
+//! tape-free `Linear`/MLP/Gaussian head/Transformer forwards call the same
+//! [`matmul`], so those layers stay bit-identical to the tape. The LSTM
+//! serving steps (encoder and decoder) run the FMA kernels of
+//! [`crate::batched`] instead.
 
 use crate::matrix::Matrix;
 use rpf_obs::ops::{self, OpClass};
+use std::time::Instant;
+
+/// Register-tile width: one output row is produced in slabs of `TILE`
+/// columns whose partial sums stay in vector registers across the `k` loop,
+/// instead of streaming the output row through memory once per `k` step.
+const TILE: usize = 32;
 
 /// `C = A * B`. Panics on inner-dimension mismatch.
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
@@ -25,38 +36,189 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         b.shape()
     );
     let started = ops::start();
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut c = Matrix::zeros(m, n);
+    let c = tiled(a, b);
+    record(a.rows(), a.cols(), b.cols(), started);
+    c
+}
 
-    {
-        let a_data = a.as_slice();
-        let b_data = b.as_slice();
-        // Parallelise over blocks of output rows; each worker owns a disjoint
-        // slice of C, so no synchronisation is needed.
-        crate::par::par_chunks_mut(c.as_mut_slice(), n, |start, c_chunk| {
-            let row0 = start / n;
-            for (local_i, c_row) in c_chunk.chunks_mut(n).enumerate() {
-                let i = row0 + local_i;
-                let a_row = &a_data[i * k..(i + 1) * k];
-                for (kk, &a_ik) in a_row.iter().enumerate() {
-                    if a_ik == 0.0 {
-                        continue; // common with one-hot / padded inputs
-                    }
-                    let b_row = &b_data[kk * n..(kk + 1) * n];
-                    // Unit-stride AXPY: c_row += a_ik * b_row
-                    for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
-                        *c_v += a_ik * b_v;
-                    }
-                }
-            }
-        });
-    }
+/// `C = A * B^T`: the backward pass's `dA = dC * B^T`.
+///
+/// Runs the kernel as `(B * A^T)^T`, so the kernel's output width is `A`'s
+/// row count (the batch shard), which fills a tile. Each element is the
+/// same products in the same ascending order as a plain dot product of the
+/// two rows; the kernel's skip drops products with a `±0` factor from `B`,
+/// which cannot change a sum that starts at `+0.0` (it never becomes
+/// `-0.0`) for finite operands.
+pub fn matmul_bt(a: &Matrix, b: &Matrix) -> Matrix {
+    assert_eq!(
+        a.cols(),
+        b.cols(),
+        "matmul_bt: inner dimensions differ ({:?} x {:?}^T)",
+        a.shape(),
+        b.shape()
+    );
+    let started = ops::start();
+    let c = tiled(b, &a.transpose()).transpose();
+    record(a.rows(), a.cols(), b.rows(), started);
+    c
+}
 
+/// `C = A^T * B`: the backward pass's `dB = A^T * dC`.
+///
+/// Runs the kernel on `(A^T, B)`: the same rank-1 products in the same
+/// order, with the same skip on `A`'s zeros.
+pub fn matmul_at(a: &Matrix, b: &Matrix) -> Matrix {
+    assert_eq!(
+        a.rows(),
+        b.rows(),
+        "matmul_at: inner dimensions differ ({:?}^T x {:?})",
+        a.shape(),
+        b.shape()
+    );
+    let started = ops::start();
+    let c = tiled(&a.transpose(), b);
+    record(a.cols(), a.rows(), b.cols(), started);
+    c
+}
+
+/// One `(m, k) x (k, n)` product, reported to `rpf_obs::ops`.
+fn record(m: usize, k: usize, n: usize, started: Option<Instant>) {
     let flops = 2 * (m as u64) * (n as u64) * (k as u64);
     let bytes = 4 * ((m * k) as u64 + (k * n) as u64 + (m * n) as u64);
     ops::record(OpClass::Matmul, flops, bytes, started);
+}
+
+/// The kernel: `A * B`, four output rows at a time, parallel over row
+/// blocks of the output (each worker owns a disjoint slice of `C`).
+fn tiled(a: &Matrix, b: &Matrix) -> Matrix {
+    let (m, k) = a.shape();
+    let n = b.cols();
+    let mut c = Matrix::zeros(m, n);
+    if k == 0 || n == 0 {
+        return c;
+    }
+    let a_data = a.as_slice();
+    let b_data = b.as_slice();
+    crate::par::par_chunks_mut(c.as_mut_slice(), n, |start, c_chunk| {
+        let a_chunk = &a_data[start / n * k..][..c_chunk.len() / n * k];
+        let mut c_quads = c_chunk.chunks_exact_mut(4 * n);
+        let mut a_quads = a_chunk.chunks_exact(4 * k);
+        for (c4, a4) in (&mut c_quads).zip(&mut a_quads) {
+            let (c0, rest) = c4.split_at_mut(n);
+            let (c1, rest) = rest.split_at_mut(n);
+            let (c2, c3) = rest.split_at_mut(n);
+            let (a0, rest) = a4.split_at(k);
+            let (a1, rest) = rest.split_at(k);
+            let (a2, a3) = rest.split_at(k);
+            rows4([a0, a1, a2, a3], b_data, [c0, c1, c2, c3], n);
+        }
+        let c_rest = c_quads.into_remainder().chunks_exact_mut(n);
+        for (c_row, a_row) in c_rest.zip(a_quads.remainder().chunks_exact(k)) {
+            row1(a_row, b_data, c_row, n);
+        }
+    });
     c
+}
+
+/// Four output rows, each accumulated in `TILE`-wide register slabs held in
+/// individually named stack arrays (LLVM promotes those to vector
+/// registers, where an `[[f32; TILE]; 4]` indexed by a loop variable
+/// spills). Sharing each B slab load across the rows quadruples the
+/// independent accumulator chains without re-reading B.
+///
+/// The `a[i,k] == 0.0` skip only matters when a zero is present, so row
+/// groups without zeros take a branch-free inner loop and the rest take the
+/// literal skipping loop; both give the same bits.
+#[inline(always)]
+fn rows4(a: [&[f32]; 4], b_data: &[f32], c: [&mut [f32]; 4], n: usize) {
+    let [a0, a1, a2, a3] = a;
+    let [c0, c1, c2, c3] = c;
+    let k = a0.len();
+    let dense = a.iter().all(|row| row.iter().all(|&v| v != 0.0));
+    let mut j0 = 0;
+    while j0 + TILE <= n {
+        let mut acc0 = [0.0f32; TILE];
+        let mut acc1 = [0.0f32; TILE];
+        let mut acc2 = [0.0f32; TILE];
+        let mut acc3 = [0.0f32; TILE];
+        if dense {
+            for kk in 0..k {
+                let b_slab = &b_data[kk * n + j0..kk * n + j0 + TILE];
+                slab_axpy(&mut acc0, a0[kk], b_slab);
+                slab_axpy(&mut acc1, a1[kk], b_slab);
+                slab_axpy(&mut acc2, a2[kk], b_slab);
+                slab_axpy(&mut acc3, a3[kk], b_slab);
+            }
+        } else {
+            for kk in 0..k {
+                let b_slab = &b_data[kk * n + j0..kk * n + j0 + TILE];
+                if a0[kk] != 0.0 {
+                    slab_axpy(&mut acc0, a0[kk], b_slab);
+                }
+                if a1[kk] != 0.0 {
+                    slab_axpy(&mut acc1, a1[kk], b_slab);
+                }
+                if a2[kk] != 0.0 {
+                    slab_axpy(&mut acc2, a2[kk], b_slab);
+                }
+                if a3[kk] != 0.0 {
+                    slab_axpy(&mut acc3, a3[kk], b_slab);
+                }
+            }
+        }
+        c0[j0..j0 + TILE].copy_from_slice(&acc0);
+        c1[j0..j0 + TILE].copy_from_slice(&acc1);
+        c2[j0..j0 + TILE].copy_from_slice(&acc2);
+        c3[j0..j0 + TILE].copy_from_slice(&acc3);
+        j0 += TILE;
+    }
+    if j0 < n {
+        for (a_row, c_row) in a.into_iter().zip([c0, c1, c2, c3]) {
+            tail_axpy(a_row, b_data, &mut c_row[j0..], j0, n);
+        }
+    }
+}
+
+/// Single-row variant of [`rows4`], for the 1–3 leftover rows.
+#[inline(always)]
+fn row1(a_row: &[f32], b_data: &[f32], c_row: &mut [f32], n: usize) {
+    let mut j0 = 0;
+    while j0 + TILE <= n {
+        let mut acc = [0.0f32; TILE];
+        for (kk, &a_ik) in a_row.iter().enumerate() {
+            if a_ik != 0.0 {
+                slab_axpy(&mut acc, a_ik, &b_data[kk * n + j0..kk * n + j0 + TILE]);
+            }
+        }
+        c_row[j0..j0 + TILE].copy_from_slice(&acc);
+        j0 += TILE;
+    }
+    if j0 < n {
+        tail_axpy(a_row, b_data, &mut c_row[j0..], j0, n);
+    }
+}
+
+/// One `TILE`-wide slab update for a single row: `acc += a_ik * b_slab`.
+#[inline(always)]
+fn slab_axpy(acc: &mut [f32; TILE], a_ik: f32, b_slab: &[f32]) {
+    for (c_v, &b_v) in acc.iter_mut().zip(b_slab) {
+        *c_v += a_ik * b_v;
+    }
+}
+
+/// Ragged-tail columns `j0..n` of one output row, accumulated in place in
+/// the same element order and with the same skip as the slabs.
+#[inline(always)]
+fn tail_axpy(a_row: &[f32], b_data: &[f32], c_tail: &mut [f32], j0: usize, n: usize) {
+    for (kk, &a_ik) in a_row.iter().enumerate() {
+        if a_ik == 0.0 {
+            continue; // common with one-hot / padded inputs
+        }
+        let b_tail = &b_data[kk * n + j0..(kk + 1) * n];
+        for (c_v, &b_v) in c_tail.iter_mut().zip(b_tail) {
+            *c_v += a_ik * b_v;
+        }
+    }
 }
 
 /// Reference triple-loop multiply used to validate [`matmul`] in tests.
@@ -74,94 +236,6 @@ pub fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
             c.set(i, j, acc);
         }
     }
-    c
-}
-
-/// `C = A * B^T` without materialising the transpose.
-///
-/// Used by the autodiff backward pass (`dA = dC * B^T`), where allocating the
-/// transpose per step would double the matmul memory traffic.
-pub fn matmul_bt(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.cols(),
-        "matmul_bt: inner dimensions differ ({:?} x {:?}^T)",
-        a.shape(),
-        b.shape()
-    );
-    let started = ops::start();
-    let (m, k) = a.shape();
-    let n = b.rows();
-    let mut c = Matrix::zeros(m, n);
-    {
-        let a_data = a.as_slice();
-        let b_data = b.as_slice();
-        crate::par::par_chunks_mut(c.as_mut_slice(), n, |start, c_chunk| {
-            let row0 = start / n;
-            for (local_i, c_row) in c_chunk.chunks_mut(n).enumerate() {
-                let i = row0 + local_i;
-                let a_row = &a_data[i * k..(i + 1) * k];
-                for (j, c_v) in c_row.iter_mut().enumerate() {
-                    let b_row = &b_data[j * k..(j + 1) * k];
-                    // Dot product of two contiguous rows: also vectorizes.
-                    let mut acc = 0.0f32;
-                    for (&x, &y) in a_row.iter().zip(b_row) {
-                        acc += x * y;
-                    }
-                    *c_v = acc;
-                }
-            }
-        });
-    }
-    let flops = 2 * (m as u64) * (n as u64) * (k as u64);
-    let bytes = 4 * ((m * k) as u64 + (k * n) as u64 + (m * n) as u64);
-    ops::record(OpClass::Matmul, flops, bytes, started);
-    c
-}
-
-/// `C = A^T * B` without materialising the transpose.
-///
-/// Used by the autodiff backward pass (`dB = A^T * dC`).
-pub fn matmul_at(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.rows(),
-        b.rows(),
-        "matmul_at: inner dimensions differ ({:?}^T x {:?})",
-        a.shape(),
-        b.shape()
-    );
-    let started = ops::start();
-    let (k, m) = a.shape();
-    let n = b.cols();
-    let mut c = Matrix::zeros(m, n);
-    {
-        let a_data = a.as_slice();
-        let b_data = b.as_slice();
-        // C[i,j] = sum_kk A[kk,i] * B[kk,j]: accumulate rank-1 updates.
-        // Sequential over kk, so we parallelise only when C itself is large;
-        // each worker recomputes its row range over all kk.
-        crate::par::par_chunks_mut(c.as_mut_slice(), n, |start, c_chunk| {
-            let row0 = start / n;
-            let rows_here = c_chunk.len() / n;
-            for kk in 0..k {
-                let a_row = &a_data[kk * m..(kk + 1) * m];
-                let b_row = &b_data[kk * n..(kk + 1) * n];
-                for local_i in 0..rows_here {
-                    let a_v = a_row[row0 + local_i];
-                    if a_v == 0.0 {
-                        continue;
-                    }
-                    let c_row = &mut c_chunk[local_i * n..(local_i + 1) * n];
-                    for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
-                        *c_v += a_v * b_v;
-                    }
-                }
-            }
-        });
-    }
-    let flops = 2 * (m as u64) * (n as u64) * (k as u64);
-    let bytes = 4 * ((m * k) as u64 + (k * n) as u64 + (m * n) as u64);
-    ops::record(OpClass::Matmul, flops, bytes, started);
     c
 }
 

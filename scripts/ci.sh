@@ -17,6 +17,10 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== no-unwrap gate (core/nn/serve/gateway/obs + capacity planner non-test code) =="
 bash scripts/check_no_unwrap.sh
 
+echo "== tape GEMM parity (matmul/matmul_at/matmul_bt bitwise to the reference loops; LSTM gradient bits pinned) =="
+cargo test -q -p rpf-tensor --test proptests --offline
+cargo test -q -p rpf-nn --test gradient_bits --offline
+
 echo "== backend parity (Linear/MLP/head/Transformer bitwise to the tape, batched LSTM step within tolerance of the tape) =="
 cargo test -q -p rpf-nn --test infer_parity --offline
 
