@@ -1,6 +1,6 @@
 //! Random-forest regressor: bagged CART trees with per-split feature
-//! subsampling, trained in parallel with crossbeam scoped threads (one tree
-//! per task — the classic embarrassingly-parallel fit).
+//! subsampling, trained in parallel on `std` scoped threads (contiguous
+//! runs of trees per thread — the classic embarrassingly-parallel fit).
 //!
 //! Besides the point forecast (mean over trees), the spread of per-tree
 //! predictions provides the quantiles used when the paper draws RF's
@@ -54,29 +54,25 @@ impl RandomForest {
             .map(|n| n.get())
             .unwrap_or(1)
             .min(16);
-        let trees: Vec<RegressionTree> = crossbeam::scope(|s| {
-            let handles: Vec<_> = (0..n_threads)
-                .map(|tid| {
-                    s.spawn(move |_| {
-                        let mut local = Vec::new();
-                        let mut t = tid;
-                        while t < cfg.n_trees {
-                            local.push((t, fit_one_tree(x, y, cfg, mtry, t as u64)));
-                            t += n_threads;
-                        }
-                        local
+        // Contiguous tree-index ranges, one scoped thread each; every tree
+        // is seeded by its index, so the forest is the same for any split.
+        let per = cfg.n_trees.div_ceil(n_threads).max(1);
+        let trees: Vec<RegressionTree> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..cfg.n_trees)
+                .step_by(per)
+                .map(|lo| {
+                    s.spawn(move || {
+                        (lo..(lo + per).min(cfg.n_trees))
+                            .map(|t| fit_one_tree(x, y, cfg, mtry, t as u64))
+                            .collect::<Vec<_>>()
                     })
                 })
                 .collect();
-            let mut tagged: Vec<(usize, RegressionTree)> = handles
+            handles
                 .into_iter()
-                .flat_map(|h| h.join().expect("tree worker panicked"))
-                .collect();
-            // Deterministic order regardless of thread interleaving.
-            tagged.sort_by_key(|(i, _)| *i);
-            tagged.into_iter().map(|(_, t)| t).collect()
-        })
-        .expect("forest training scope failed");
+                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        });
 
         RandomForest { trees }
     }

@@ -4,7 +4,7 @@
 //! * [`arima`] — ARIMA(p,d,q) fitted by Hannan–Rissanen with Gaussian
 //!   forecast intervals (the only classical baseline with uncertainty),
 //! * [`forest`] — a CART random-forest regressor (trees trained in parallel
-//!   with crossbeam),
+//!   on `std` scoped threads),
 //! * [`svr`] — ε-SVR with an RBF kernel trained by SMO (the paper's
 //!   strongest classical baseline on TaskB),
 //! * [`gbt`] — second-order gradient-boosted regression trees with

@@ -153,19 +153,33 @@ use ranknet_core::baseline_adapters::Forecaster;
 // Table VI, Fig 8, Fig 9 all want the Indy500 RankNet variants). Training is
 // the expensive part, so share one instance per (event, variant, profile).
 
-use parking_lot::Mutex;
 use rpf_racesim::Event;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 fn profile_key(p: &Profile) -> String {
     format!("s{}e{}", p.stride, p.epochs)
 }
 
-static RANKNET_CACHE: OnceLock<Mutex<HashMap<String, Arc<RankNet>>>> = OnceLock::new();
-static DEEPAR_CACHE: OnceLock<Mutex<HashMap<String, Arc<DeepArForecaster>>>> = OnceLock::new();
-static REG_CACHE: OnceLock<Mutex<HashMap<String, Arc<Vec<RegressionForecaster>>>>> =
-    OnceLock::new();
+type Cache<T> = OnceLock<Mutex<HashMap<String, Arc<T>>>>;
+
+static RANKNET_CACHE: Cache<RankNet> = OnceLock::new();
+static DEEPAR_CACHE: Cache<DeepArForecaster> = OnceLock::new();
+static REG_CACHE: Cache<Vec<RegressionForecaster>> = OnceLock::new();
+
+/// The entry for `key`, built on a miss. The lock is not held while
+/// building, and a poisoned lock is recovered: entries are inserted whole,
+/// so a panic elsewhere never leaves the map half-written.
+fn cached<T>(cache: &Cache<T>, key: String, build: impl FnOnce() -> T) -> Arc<T> {
+    let map = cache.get_or_init(Default::default);
+    let lock = || map.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(m) = lock().get(&key) {
+        return m.clone();
+    }
+    let value = Arc::new(build());
+    lock().insert(key, value.clone());
+    value
+}
 
 /// Cached [`train_ranknet`] keyed by event + variant + profile.
 pub fn ranknet_for(
@@ -181,13 +195,9 @@ pub fn ranknet_for(
         variant.name(),
         profile_key(profile)
     );
-    let cache = RANKNET_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(m) = cache.lock().get(&key) {
-        return m.clone();
-    }
-    let model = Arc::new(train_ranknet(profile, train, val, variant));
-    cache.lock().insert(key, model.clone());
-    model
+    cached(&RANKNET_CACHE, key, || {
+        train_ranknet(profile, train, val, variant)
+    })
 }
 
 /// Cached [`train_deepar`].
@@ -198,13 +208,7 @@ pub fn deepar_for(
     val: &[RaceContext],
 ) -> Arc<DeepArForecaster> {
     let key = format!("{}-{}", event.name(), profile_key(profile));
-    let cache = DEEPAR_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(m) = cache.lock().get(&key) {
-        return m.clone();
-    }
-    let model = Arc::new(train_deepar(profile, train, val));
-    cache.lock().insert(key, model.clone());
-    model
+    cached(&DEEPAR_CACHE, key, || train_deepar(profile, train, val))
 }
 
 /// Cached [`train_regressors`] (keyed by max horizon too).
@@ -215,11 +219,7 @@ pub fn regressors_for(
     max_horizon: usize,
 ) -> Arc<Vec<RegressionForecaster>> {
     let key = format!("{}-h{}-{}", event.name(), max_horizon, profile_key(profile));
-    let cache = REG_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(m) = cache.lock().get(&key) {
-        return m.clone();
-    }
-    let models = Arc::new(train_regressors(profile, train, max_horizon));
-    cache.lock().insert(key, models.clone());
-    models
+    cached(&REG_CACHE, key, || {
+        train_regressors(profile, train, max_horizon)
+    })
 }

@@ -24,12 +24,13 @@ use rpf_nn::gaussian::{
     draw_gaussian, draw_student_t, gaussian_nll, student_t_nll, GaussianParams,
 };
 use rpf_nn::train::{
-    shard_indices, try_train_resumable, TrainCheckpoint, TrainConfig, TrainError, TrainReport,
+    shard_parallel_loss, try_train_resumable, TrainCheckpoint, TrainConfig, TrainError, TrainReport,
 };
 use rpf_nn::{
     BatchScratch, Binding, GaussianHead, InferEmbedding, InferGaussianHead, InferStackedLstm,
     ParamStore, RngStreams, StackedLstm,
 };
+use rpf_tensor::par::par_ranges;
 use rpf_tensor::Matrix;
 
 /// What the decoder predicts.
@@ -43,9 +44,6 @@ pub enum TargetKind {
 
 /// Monte-Carlo forecast: `samples[car][sample][step]`, raw rank units.
 pub type ForecastSamples = Vec<Vec<Vec<f32>>>;
-
-/// One gradient shard: accumulated `(param, grad)` pairs, loss sum, count.
-type ShardGrads = (Vec<(rpf_nn::ParamId, Matrix)>, f32, usize);
 
 /// Per-car future covariates handed to the decoder:
 /// `rows[car][step]` for steps `origin..origin+horizon`.
@@ -230,9 +228,11 @@ impl RankModel {
             ts.len(),
             &train_cfg,
             |store, batch| {
-                Self::batch_loss_parallel(
-                    &cfg, kind, &lstm, &heads, emb, base_dim, ts, store, batch,
-                )
+                shard_parallel_loss(store, batch, |bind, shard| {
+                    Self::window_loss(
+                        &cfg, kind, &lstm, &heads, emb, base_dim, ts, bind, shard, true,
+                    )
+                })
             },
             |store| {
                 let idx: Vec<usize> = (0..val_take).collect();
@@ -243,73 +243,6 @@ impl RankModel {
         );
         self.store = store;
         report
-    }
-
-    /// Shard-parallel loss + gradient accumulation for one minibatch.
-    #[allow(clippy::too_many_arguments)]
-    fn batch_loss_parallel(
-        cfg: &RankNetConfig,
-        kind: TargetKind,
-        lstm: &StackedLstm,
-        heads: &[GaussianHead],
-        emb: Embedding,
-        base_dim: usize,
-        ts: &TrainingSet,
-        store: &mut ParamStore,
-        batch: &[usize],
-    ) -> f32 {
-        let shards = shard_indices(batch, rpf_tensor::par::num_threads());
-        let results: Vec<ShardGrads> = {
-            let values = store.values();
-            crossbeam::scope(|s| {
-                let handles: Vec<_> = shards
-                    .iter()
-                    .map(|shard| {
-                        s.spawn(move |_| {
-                            let tape = Tape::new();
-                            let bind = Binding::over_values(&tape, values);
-                            let (loss_var, n) = Self::window_loss(
-                                cfg, kind, lstm, heads, emb, base_dim, ts, &bind, shard, true,
-                            );
-                            let loss = tape.scalar(loss_var);
-                            let grads = bind.into_grads(loss_var);
-                            (grads, loss, n)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .zip(&shards)
-                    // A crashed worker becomes a NaN-loss shard: the training
-                    // loop's divergence recovery rolls the epoch back instead
-                    // of the whole process dying.
-                    .map(|(h, shard)| {
-                        h.join()
-                            .unwrap_or_else(|_| (Vec::new(), f32::NAN, shard.len()))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-        };
-        let mut total_loss = 0.0f64;
-        let mut total_n = 0usize;
-        let n_shards = results.len().max(1);
-        for (grads, loss, n) in results {
-            // Each shard computed a mean loss; scale gradients so the merged
-            // update equals the full-batch mean.
-            for (id, mut g) in grads {
-                for v in g.as_mut_slice() {
-                    *v /= n_shards as f32;
-                }
-                store.accumulate_grad(id, &g);
-            }
-            total_loss += loss as f64 * n as f64;
-            total_n += n;
-        }
-        if total_n == 0 {
-            return f32::NAN;
-        }
-        (total_loss / total_n as f64) as f32
     }
 
     /// Loss without gradients (validation).
@@ -330,14 +263,14 @@ impl RankModel {
         }
         let tape = Tape::new();
         let bind = Binding::new(&tape, store);
-        let (loss, _) = Self::window_loss(
+        let loss = Self::window_loss(
             cfg, kind, lstm, heads, emb, base_dim, ts, &bind, batch, true,
         );
         tape.scalar(loss)
     }
 
     /// Teacher-forced unroll over a set of windows; returns the scalar loss
-    /// node (decoder steps only, per Algorithm 1) and the instance count.
+    /// node (decoder steps only, per Algorithm 1).
     #[allow(clippy::too_many_arguments)]
     fn window_loss(
         cfg: &RankNetConfig,
@@ -350,7 +283,7 @@ impl RankModel {
         bind: &Binding<'_>,
         batch: &[usize],
         weighted: bool,
-    ) -> (rpf_autodiff::Var, usize) {
+    ) -> rpf_autodiff::Var {
         let t = bind.tape();
         let b = batch.len();
         let window = cfg.context_len + cfg.prediction_len;
@@ -430,8 +363,7 @@ impl RankModel {
         for &term in &loss_terms[1..] {
             total = t.add(total, term);
         }
-        let loss = t.scale(total, 1.0 / loss_terms.len() as f32);
-        (loss, b)
+        t.scale(total, 1.0 / loss_terms.len() as f32)
     }
 
     /// Regressive inputs for predicting sequence index `idx` (lagged one
@@ -670,53 +602,21 @@ impl RankModel {
         streams: &RngStreams,
         threads: usize,
     ) -> ForecastSamples {
-        let run = &|rows: std::ops::Range<usize>| {
+        let mut samples: ForecastSamples = vec![Vec::new(); ctx.sequences.len()];
+        let bs = enc.cars.len() * n_samples;
+        let chunks = par_ranges(bs, threads, |rows| {
             self.decode_rows_tape(
                 ctx, cov_future, origin, horizon, n_samples, enc, streams, rows,
             )
-        };
-        let b = enc.cars.len();
-        let mut samples: ForecastSamples = vec![Vec::new(); ctx.sequences.len()];
-        let bs = b * n_samples;
-        if bs == 0 {
-            return samples;
-        }
-        let threads = threads.clamp(1, bs);
-        let rows_per = bs.div_ceil(threads);
-        let chunks: Vec<std::ops::Range<usize>> = (0..bs)
-            .step_by(rows_per)
-            .map(|lo| lo..(lo + rows_per).min(bs))
-            .collect();
-
-        let chunk_paths: Vec<Vec<Vec<f32>>> = if chunks.len() == 1 {
-            vec![run(0..bs)]
-        } else {
+        });
+        for (rows, out) in chunks {
             // A crashed worker yields NaN paths for its chunk instead of
             // killing the process; the engine's degradation pass replaces
             // them with the CurRank baseline and flags the forecast.
-            let chunk_lens: Vec<usize> = chunks.iter().map(|r| r.len()).collect();
-            let nan_chunk = |n: usize| vec![vec![f32::NAN; horizon]; n];
-            crossbeam::scope(|s| {
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .map(|rows| s.spawn(move |_| run(rows)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .zip(&chunk_lens)
-                    .map(|(h, &n)| h.join().unwrap_or_else(|_| nan_chunk(n)))
-                    .collect()
-            })
-            .unwrap_or_else(|_| chunk_lens.iter().map(|&n| nan_chunk(n)).collect())
-        };
-
-        // Regroup rows into [car][sample][step]; chunks are contiguous and in
-        // order, so a running row index recovers each trajectory's car.
-        let mut ri = 0usize;
-        for paths in chunk_paths {
-            for path in paths {
+            let paths = out.unwrap_or_else(|_| vec![vec![f32::NAN; horizon]; rows.len()]);
+            // Row `ri` is trajectory `ri % n_samples` of car slot `ri / n_samples`.
+            for (ri, path) in rows.zip(paths) {
                 samples[enc.cars[ri / n_samples]].push(path);
-                ri += 1;
             }
         }
         samples
@@ -790,42 +690,21 @@ impl RankModel {
                 });
             }
         }
-        let total = plan.len();
-        if total == 0 {
-            return runs.iter().map(|_| Vec::new()).collect();
-        }
-        let threads = threads.clamp(1, total);
-        let rows_per_chunk = total.div_ceil(threads);
-        let chunks: Vec<&[BatchedRowPlan]> = plan.chunks(rows_per_chunk).collect();
-
-        let chunk_paths: Vec<Vec<Vec<f32>>> = if chunks.len() == 1 {
-            vec![self.decode_rows_batched(runs, &runtime, &plan)]
-        } else {
-            // A crashed worker yields NaN paths for its rows instead of
-            // killing the process; the engine's degradation pass replaces
-            // them with the CurRank baseline and flags the forecast.
-            let nan_chunk = |chunk: &[BatchedRowPlan]| -> Vec<Vec<f32>> {
-                chunk
+        // A crashed worker yields NaN paths for its rows instead of killing
+        // the process; the engine's degradation pass replaces them with the
+        // CurRank baseline and flags the forecast.
+        let mut flat = par_ranges(plan.len(), threads, |rows| {
+            self.decode_rows_batched(runs, &runtime, &plan[rows])
+        })
+        .into_iter()
+        .flat_map(|(rows, out)| {
+            out.unwrap_or_else(|_| {
+                plan[rows]
                     .iter()
                     .map(|p| vec![f32::NAN; runs[p.run].horizon])
                     .collect()
-            };
-            crossbeam::scope(|s| {
-                let runtime = &runtime;
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .map(|&chunk| s.spawn(move |_| self.decode_rows_batched(runs, runtime, chunk)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .zip(&chunks)
-                    .map(|(h, &chunk)| h.join().unwrap_or_else(|_| nan_chunk(chunk)))
-                    .collect()
             })
-            .unwrap_or_else(|_| chunks.iter().map(|&c| nan_chunk(c)).collect())
-        };
-
-        let mut flat = chunk_paths.into_iter().flatten();
+        });
         run_rows
             .iter()
             .map(|&n| (0..n).filter_map(|_| flat.next()).collect())

@@ -8,7 +8,7 @@
 //! Transformer encoder–decoder in the middle.
 //!
 //! Sequences are processed one at a time as `(T, d)` matrices; training
-//! shards instances across crossbeam threads.
+//! shards instances across `std` scoped threads.
 
 use crate::config::RankNetConfig;
 use crate::features::RaceContext;
@@ -23,12 +23,9 @@ use rpf_nn::gaussian::{gaussian_nll, sample_gaussian, GaussianParams};
 use rpf_nn::infer::{
     InferDecoderLayer, InferEmbedding, InferEncoderLayer, InferGaussianHead, InferLinear,
 };
-use rpf_nn::train::{shard_indices, train, TrainConfig, TrainReport};
+use rpf_nn::train::{shard_parallel_loss, train, TrainConfig, TrainReport};
 use rpf_nn::{Binding, GaussianHead, Linear, ParamStore, RngStreams};
 use rpf_tensor::{ops, Matrix};
-
-/// One gradient shard: accumulated `(param, grad)` pairs, loss sum, count.
-type ShardGrads = (Vec<(rpf_nn::ParamId, Matrix)>, f32, usize);
 
 /// Transformer hyper-parameters of §IV-I.
 pub const D_MODEL: usize = 32;
@@ -256,7 +253,9 @@ impl TransformerModel {
             &mut store,
             ts.len(),
             &train_cfg,
-            |store, batch| this.batch_loss(store, ts, batch, true),
+            |store, batch| {
+                shard_parallel_loss(store, batch, |bind, shard| this.shard_loss(bind, ts, shard))
+            },
             |store| {
                 let idx: Vec<usize> = (0..val_take).collect();
                 this.batch_loss_eval(store, val, &idx)
@@ -266,72 +265,16 @@ impl TransformerModel {
         report
     }
 
-    fn batch_loss(
-        &self,
-        store: &mut ParamStore,
-        ts: &TrainingSet,
-        batch: &[usize],
-        _w: bool,
-    ) -> f32 {
-        let shards = shard_indices(batch, rpf_tensor::par::num_threads());
-        let n_shards = shards.len().max(1);
-        let results: Vec<ShardGrads> = {
-            let values = store.values();
-            crossbeam::scope(|s| {
-                let handles: Vec<_> = shards
-                    .iter()
-                    .map(|shard| {
-                        s.spawn(move |_| {
-                            let tape = Tape::new();
-                            let bind = Binding::over_values(&tape, values);
-                            let mut total: Option<Var> = None;
-                            for &inst in shard.iter() {
-                                let l = self.window_loss(&bind, ts, inst);
-                                total = Some(match total {
-                                    Some(acc) => tape.add(acc, l),
-                                    None => l,
-                                });
-                            }
-                            // shard_indices never yields empty shards; treat
-                            // one as a NaN-loss shard rather than panicking.
-                            let Some(total) = total else {
-                                return (Vec::new(), f32::NAN, 0);
-                            };
-                            let loss = tape.scale(total, 1.0 / shard.len() as f32);
-                            let v = tape.scalar(loss);
-                            (bind.into_grads(loss), v, shard.len())
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .zip(&shards)
-                    // A crashed worker becomes a NaN-loss shard: divergence
-                    // recovery rolls the epoch back instead of aborting.
-                    .map(|(h, shard)| {
-                        h.join()
-                            .unwrap_or_else(|_| (Vec::new(), f32::NAN, shard.len()))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-        };
-        let mut sum = 0.0f64;
-        let mut n = 0usize;
-        for (grads, loss, count) in results {
-            for (id, mut g) in grads {
-                for v in g.as_mut_slice() {
-                    *v /= n_shards as f32;
-                }
-                store.accumulate_grad(id, &g);
-            }
-            sum += loss as f64 * count as f64;
-            n += count;
-        }
-        if n == 0 {
-            return f32::NAN;
-        }
-        (sum / n as f64) as f32
+    /// Mean loss of one shard's instances, each its own `(T, d)` sequence.
+    fn shard_loss(&self, bind: &Binding<'_>, ts: &TrainingSet, shard: &[usize]) -> Var {
+        let t = bind.tape();
+        let mut losses = shard.iter().map(|&inst| self.window_loss(bind, ts, inst));
+        // Shards are never empty; an empty one would be a NaN-loss shard.
+        let first = losses
+            .next()
+            .unwrap_or_else(|| t.leaf(Matrix::full(1, 1, f32::NAN)));
+        let total = losses.fold(first, |acc, l| t.add(acc, l));
+        t.scale(total, 1.0 / shard.len() as f32)
     }
 
     fn batch_loss_eval(&self, store: &ParamStore, ts: &TrainingSet, batch: &[usize]) -> f32 {

@@ -154,3 +154,15 @@ fn tampered_training_checkpoint_checksum_is_rejected() {
     assert!(err.contains("checksum"), "got: {err}");
     std::fs::remove_file(&path).ok();
 }
+
+/// A hostile model file nested far past any real artifact must come back
+/// as a parse error before the checksum is ever consulted, not overflow
+/// the stack.
+#[test]
+fn deeply_nested_model_file_is_a_clean_error() {
+    let path = temp_path("model_deep_nesting.json");
+    std::fs::write(&path, "[".repeat(200_000)).expect("write");
+    let err = RankNet::load(&path).err().expect("load must fail");
+    assert!(err.contains("recursion limit"), "got: {err}");
+    std::fs::remove_file(&path).ok();
+}

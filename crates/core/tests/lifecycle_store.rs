@@ -208,3 +208,25 @@ fn quarantine_keeps_colliding_post_mortems_apart() {
     );
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A manifest nested far past any real one is parsed before any checksum
+/// check: it must surface as `Corrupt`, not overflow the stack.
+#[test]
+fn deeply_nested_manifest_is_corrupt() {
+    let root = store_root("deep_manifest");
+    let store = ModelStore::open(&root).expect("store opens");
+    let dir = root.join("versions").join("v000001");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::fs::write(dir.join("model.json"), b"x").expect("write");
+    std::fs::write(dir.join("manifest.json"), "{\"a\":".repeat(200_000)).expect("write");
+    for result in [store.manifest(1).err(), store.load(1).err()] {
+        match result {
+            Some(LifecycleError::Corrupt { version, detail }) => {
+                assert_eq!(version, 1);
+                assert!(detail.contains("recursion limit"), "got: {detail}");
+            }
+            other => panic!("expected corrupt, got {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}

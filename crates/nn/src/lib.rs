@@ -22,8 +22,9 @@
 //!   log-likelihood (paper Eq. 1) and sampled ancestrally at forecast time,
 //! * [`adam`] — the Adam optimizer with gradient clipping,
 //! * [`train`] — minibatch loop with learning-rate decay on plateau and
-//!   early stopping (paper §IV-C), shard-parallel gradient computation via
-//!   crossbeam, and the µs/sample throughput measurements behind Fig 10.
+//!   early stopping (paper §IV-C), shard-parallel gradient computation on
+//!   `std` scoped threads, and the µs/sample throughput measurements behind
+//!   Fig 10.
 
 pub mod adam;
 pub mod attention;

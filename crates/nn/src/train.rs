@@ -4,13 +4,15 @@
 //!
 //! The loop is model-agnostic: the caller supplies a closure that, given a
 //! batch of instance indices, builds the forward/backward pass and leaves
-//! gradients in the [`ParamStore`]. Shard-level parallelism (splitting a
-//! batch across crossbeam threads, each with its own tape) lives in the
-//! model's closure; [`shard_indices`] is the helper both models use.
+//! gradients in the [`ParamStore`]. Both models build that closure on
+//! [`shard_parallel_loss`], which splits a batch across `std` scoped
+//! threads, each with its own tape, and merges the shard gradients.
 
 use crate::adam::{Adam, AdamState};
 use crate::data::BatchIter;
-use crate::params::ParamStore;
+use crate::params::{Binding, ParamStore};
+use rpf_autodiff::{Tape, Var};
+use rpf_tensor::par::{num_threads, par_ranges};
 use rpf_tensor::Matrix;
 use std::time::Instant;
 
@@ -533,27 +535,74 @@ impl ResumableFineTuner {
     }
 }
 
-/// Split a batch of indices into up to `shards` roughly equal pieces for
-/// shard-parallel gradient computation. Shards are floored at
-/// [`MIN_SHARD_ROWS`] rows: below that, per-thread tape and spawn overhead
-/// outweighs the parallelism (the same small-kernel effect the paper's
-/// Fig 10 shows for accelerator offload).
-pub fn shard_indices(batch: &[usize], shards: usize) -> Vec<&[usize]> {
-    let max_by_size = batch.len().div_ceil(MIN_SHARD_ROWS).max(1);
-    let shards = shards.max(1).min(batch.len().max(1)).min(max_by_size);
-    let per = batch.len().div_ceil(shards);
-    batch.chunks(per.max(1)).collect()
+/// How many shards a batch of `rows` instances splits into on `threads`
+/// threads. Shards are floored at [`MIN_SHARD_ROWS`] rows: below that,
+/// per-thread tape and spawn overhead outweighs the parallelism (the same
+/// small-kernel effect the paper's Fig 10 shows for accelerator offload).
+fn shard_count(rows: usize, threads: usize) -> usize {
+    let max_by_size = rows.div_ceil(MIN_SHARD_ROWS).max(1);
+    threads.max(1).min(rows.max(1)).min(max_by_size)
 }
 
 /// Minimum rows per training shard before splitting further stops paying.
 pub const MIN_SHARD_ROWS: usize = 16;
 
+/// Shard-parallel loss and gradient of one minibatch: the `batch_loss`
+/// both models hand to the training loop.
+///
+/// The batch splits into `shard_count` contiguous shards run through
+/// [`par_ranges`]. Each shard gets its own tape bound over the store's
+/// values, and `shard_loss` builds that shard's mean-loss node. Gradients
+/// are divided by the shard count and accumulated into the store in shard
+/// order, so the merged update is the mean of the shard means; the
+/// returned loss is the row-weighted mean of the shard losses.
+///
+/// A shard that panics becomes a NaN-loss shard that adds no gradient: the
+/// training loop's divergence recovery rolls the epoch back instead of the
+/// whole process dying.
+pub fn shard_parallel_loss<F>(store: &mut ParamStore, batch: &[usize], shard_loss: F) -> f32
+where
+    F: Fn(&Binding<'_>, &[usize]) -> Var + Sync,
+{
+    let shards = shard_count(batch.len(), num_threads());
+    // Per shard: its `(param, grad)` pairs, mean loss and row count.
+    let results: Vec<_> = {
+        let values = store.values();
+        par_ranges(batch.len(), shards, |rows| {
+            let shard = &batch[rows];
+            let tape = Tape::new();
+            let bind = Binding::over_values(&tape, values);
+            let loss = shard_loss(&bind, shard);
+            let value = tape.scalar(loss);
+            (bind.into_grads(loss), value, shard.len())
+        })
+        .into_iter()
+        .map(|(rows, out)| out.unwrap_or_else(|_| (Vec::new(), f32::NAN, rows.len())))
+        .collect()
+    };
+    let n_shards = results.len().max(1);
+    let mut total_loss = 0.0f64;
+    let mut total_n = 0usize;
+    for (grads, loss, n) in results {
+        for (id, mut g) in grads {
+            for v in g.as_mut_slice() {
+                *v /= n_shards as f32;
+            }
+            store.accumulate_grad(id, &g);
+        }
+        total_loss += loss as f64 * n as f64;
+        total_n += n;
+    }
+    if total_n == 0 {
+        return f32::NAN;
+    }
+    (total_loss / total_n as f64) as f32
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::Binding;
-    use rpf_autodiff::Tape;
-    use rpf_tensor::Matrix;
+    use crate::params::ParamId;
 
     #[test]
     fn trains_linear_regression_to_convergence() {
@@ -659,28 +708,122 @@ mod tests {
         assert!(restored > final_would_be + 0.05, "restored {restored}");
     }
 
+    /// The training shard split written out on slices: the reference the
+    /// `par_ranges` shard boundaries must match.
+    fn reference_shards(batch: &[usize], shards: usize) -> Vec<&[usize]> {
+        let max_by_size = batch.len().div_ceil(MIN_SHARD_ROWS).max(1);
+        let shards = shards.max(1).min(batch.len().max(1)).min(max_by_size);
+        let per = batch.len().div_ceil(shards);
+        batch.chunks(per.max(1)).collect()
+    }
+
+    fn shards(batch: &[usize], threads: usize) -> Vec<&[usize]> {
+        par_ranges(batch.len(), shard_count(batch.len(), threads), |r| r)
+            .into_iter()
+            .map(|(r, _)| &batch[r])
+            .collect()
+    }
+
     #[test]
     fn shard_indices_partition() {
         let batch: Vec<usize> = (0..100).collect();
-        let shards = shard_indices(&batch, 3);
-        assert_eq!(shards.len(), 3);
-        let flat: Vec<usize> = shards.iter().flat_map(|s| s.iter().copied()).collect();
+        let split = shards(&batch, 3);
+        assert_eq!(split.len(), 3);
+        let flat: Vec<usize> = split.iter().flat_map(|s| s.iter().copied()).collect();
         assert_eq!(flat, batch);
         // More shards than items degrades gracefully.
-        let shards = shard_indices(&batch[..2], 8);
-        assert!(shards.len() <= 2);
+        assert!(shards(&batch[..2], 8).len() <= 2);
+        for n in [0, 1, 15, 16, 17, 64, 100] {
+            let batch: Vec<usize> = (0..n).collect();
+            for threads in [1, 2, 3, 16] {
+                assert_eq!(
+                    shards(&batch, threads),
+                    reference_shards(&batch, threads),
+                    "n={n} threads={threads}"
+                );
+            }
+        }
     }
 
     #[test]
     fn shards_respect_minimum_rows() {
         let batch: Vec<usize> = (0..32).collect();
-        let shards = shard_indices(&batch, 16);
-        assert!(shards.len() <= 2, "32 rows should make at most 2 shards");
-        for s in &shards {
+        let split = shards(&batch, 16);
+        assert!(split.len() <= 2, "32 rows should make at most 2 shards");
+        for s in &split {
             assert!(s.len() >= MIN_SHARD_ROWS);
         }
         // Large batches still fan out fully.
         let big: Vec<usize> = (0..3200).collect();
-        assert_eq!(shard_indices(&big, 16).len(), 16);
+        assert_eq!(shards(&big, 16).len(), 16);
+    }
+
+    /// `w · x` summed over the shard's rows, scaled to a mean: the loss
+    /// whose gradient w.r.t. `w` is the mean of the shard's `x`.
+    fn mean_linear_loss(bind: &Binding<'_>, w: ParamId, shard: &[usize]) -> Var {
+        let t = bind.tape();
+        let x = t.leaf(Matrix::from_vec(
+            shard.len(),
+            1,
+            shard.iter().map(|&i| i as f32).collect(),
+        ));
+        t.mean(t.matmul(x, bind.var(w)))
+    }
+
+    #[test]
+    fn shard_step_merges_to_the_full_batch_mean() {
+        // 48 rows split into 1, 2 or 3 equal shards on any thread count.
+        let mut store = ParamStore::new();
+        let w = store.register("w", Matrix::ones(1, 1));
+        let batch: Vec<usize> = (0..48).collect();
+        let loss = shard_parallel_loss(&mut store, &batch, |bind, shard| {
+            mean_linear_loss(bind, w, shard)
+        });
+        assert!((loss - 23.5).abs() < 1e-4, "loss {loss}");
+        let g = store.grad(w).get(0, 0);
+        assert!((g - 23.5).abs() < 1e-4, "grad {g}");
+    }
+
+    #[test]
+    fn panicking_shard_gives_nan_loss_and_no_gradient() {
+        let mut store = ParamStore::new();
+        let w = store.register("w", Matrix::ones(1, 1));
+        let batch: Vec<usize> = (0..64).collect();
+        let loss = shard_parallel_loss(&mut store, &batch, |_, _| -> Var {
+            panic!("injected shard failure")
+        });
+        assert!(loss.is_nan());
+        assert_eq!(store.grad(w).get(0, 0), 0.0);
+    }
+
+    #[test]
+    fn panicking_shard_is_rolled_back_by_divergence_recovery() {
+        let mut store = ParamStore::new();
+        let w = store.register("w", Matrix::ones(1, 1));
+        let mut calls = 0usize;
+        let cfg = TrainConfig {
+            max_epochs: 2,
+            batch_size: 16,
+            lr: 0.01,
+            ..Default::default()
+        };
+        let report = try_train(
+            &mut store,
+            32,
+            &cfg,
+            |store, batch| {
+                calls += 1;
+                let first = calls == 1;
+                shard_parallel_loss(store, batch, |bind, shard| {
+                    assert!(!first, "injected shard failure");
+                    mean_linear_loss(bind, w, shard)
+                })
+            },
+            |store| store.value(w).get(0, 0),
+        )
+        .expect("recovers from the panicking shard");
+        assert_eq!(report.recoveries.len(), 1);
+        assert_eq!(report.recoveries[0].epoch, 0);
+        assert!(store.value(w).get(0, 0).is_finite());
     }
 }

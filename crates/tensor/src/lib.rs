@@ -7,10 +7,12 @@
 //! * [`Matrix`] — a row-major dense `f32` matrix with shape-checked ops,
 //! * [`matmul`] — the tape's three GEMMs (`matmul`, `matmul_at`,
 //!   `matmul_bt`) on one register-tiled kernel that keeps the bits of the
-//!   plain ascending-`k` loops and goes parallel via `crossbeam` scoped
-//!   threads once the output is large enough,
+//!   plain ascending-`k` loops and goes parallel on `std` scoped threads
+//!   once the output is large enough,
 //! * [`batched`] — the FMA lock-step kernels every serving LSTM step runs
-//!   (the encoder and the batched decoder).
+//!   (the encoder and the batched decoder),
+//! * [`par`] — the one parallel fan-out ([`par::par_ranges`]) that training
+//!   shards and decode row chunks run through.
 //!
 //! The kernel set mirrors the five operations the paper identifies inside an
 //! LSTM cell: `MatMul`, elementwise `Mul`, `Add`, `Sigmoid` and `Tanh`.

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Robustness gate: production code in the core, nn, serve, gateway and obs
-# crates must not call `.unwrap()` / `.expect(` — failures there have typed
+# Robustness gate: production code in the core, nn, serve, gateway, obs and
+# tensor crates must not call `.unwrap()` / `.expect(` — failures there have typed
 # error paths (TrainError, EngineError, ServeError, LifecycleError, HttpError,
 # Result-returning persist), and the serving scheduler, the gateway's
 # connection queue / lap bus and the obs registry recover poisoned locks
@@ -37,9 +37,8 @@ while IFS= read -r f; do
     echo "$hits"
     fail=1
   fi
-# crates/tensor stays excluded as a whole (par.rs joins worker threads with
-# an intentional panic), but the batched decode kernels are serving-path
-# production code and follow the typed-error discipline.
+# crates/tensor is covered whole: its kernels run on the serving path and
+# its parallel helpers hand a worker's panic back to the caller as a value.
 # The serve walk picks up the sharding modules (mailbox, shard, supervisor,
 # router) recursively; perfmodel is modelling code and exempt except for the
 # capacity planner, which feeds production fleet-sizing decisions.
@@ -48,10 +47,10 @@ while IFS= read -r f; do
 # serving workload generators.
 done < <(find crates/core/src crates/nn/src crates/serve/src crates/obs/src \
   crates/gateway/src crates/racesim/src/scenario \
-  crates/tensor/src/batched.rs crates/perfmodel/src/capacity.rs -name '*.rs' | sort)
+  crates/tensor/src crates/perfmodel/src/capacity.rs -name '*.rs' | sort)
 
 if [ "$fail" -ne 0 ]; then
-  echo "error: .unwrap()/.expect( in non-test core/nn/serve/obs code (use a typed error path)" >&2
+  echo "error: .unwrap()/.expect( in non-test core/nn/serve/obs/tensor code (use a typed error path)" >&2
   exit 1
 fi
 echo "no-unwrap gate clean."

@@ -14,8 +14,14 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, -D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== no-unwrap gate (core/nn/serve/gateway/obs + capacity planner non-test code) =="
+echo "== no-unwrap gate (core/nn/serve/gateway/obs/tensor + capacity planner non-test code) =="
 bash scripts/check_no_unwrap.sh
+
+echo "== one parallel fan-out (no crossbeam:: call outside crates/vendor; use rpf_tensor::par or std::thread::scope) =="
+if grep -rn 'crossbeam::' crates/*/src; then
+  echo "crossbeam check failed: fan out through rpf_tensor::par::par_ranges or std::thread::scope" >&2
+  exit 1
+fi
 
 echo "== tape GEMM parity (matmul/matmul_at/matmul_bt bitwise to the reference loops; LSTM gradient bits pinned) =="
 cargo test -q -p rpf-tensor --test proptests --offline
