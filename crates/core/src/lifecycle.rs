@@ -436,13 +436,18 @@ impl ModelStore {
 
     /// Load a version, verifying the artifact bytes against the manifest
     /// checksum and the snapshot against its own embedded checksum. A
-    /// mismatch (or a torn directory) quarantines the version before the
-    /// error is returned — a corrupt artifact can be hit at most once.
+    /// mismatch, a manifest that does not parse, or a torn directory
+    /// quarantines the version before the error is returned — a corrupt
+    /// artifact can be hit at most once.
     pub fn load(&self, version: u64) -> Result<(RankNet, Manifest), LifecycleError> {
         let manifest = match self.manifest(version) {
             Ok(m) => m,
             Err(e @ LifecycleError::Torn { .. }) => {
                 self.quarantine(version, "torn")?;
+                return Err(e);
+            }
+            Err(e @ LifecycleError::Corrupt { .. }) => {
+                self.quarantine(version, "corrupt")?;
                 return Err(e);
             }
             Err(e) => return Err(e),

@@ -15,25 +15,21 @@ use crate::features::{CarSequence, RaceContext};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use rpf_autodiff::Tape;
+use rpf_autodiff::{Tape, Var};
 use rpf_nn::gaussian::{gaussian_nll, GaussianParams, SIGMA_FLOOR};
 use rpf_nn::mlp::Activation;
 use rpf_nn::train::{train, TrainConfig, TrainReport};
-use rpf_nn::{Binding, InferMlp, Mlp, ParamStore};
-use rpf_tensor::{ops, Matrix};
-use std::sync::OnceLock;
+use rpf_nn::{Binding, Mlp, ParamStore};
+use rpf_tensor::Matrix;
 
 /// Training floor on stint length: the paper identifies the <10% short-pit
 /// tail (mechanical issues) as noise for the pit model.
 const MIN_TRAIN_STINT: f32 = 5.0;
 
-/// One training example: features at a lap, laps until that car's next pit.
+/// One training example: a car's state at a lap, laps until its next pit.
 #[derive(Clone, Copy, Debug)]
 struct PitExample {
-    caution_laps: f32,
-    pit_age: f32,
-    tyre_age: f32,
-    track_wetness: f32,
+    state: PitState,
     laps_to_pit: f32,
 }
 
@@ -77,15 +73,8 @@ fn feature_row(input_dim: usize, scale: f32, state: &PitState) -> Vec<f32> {
     row
 }
 
-/// Tape-free serving nets for [`PitModel::predict`], built lazily on first
-/// use and dropped on any weight mutation (train / import). `OnceLock`
-/// keeps `predict` callable through `&self` from parallel forecast workers.
-struct PitRuntime {
-    mu_net: InferMlp,
-    sigma_net: InferMlp,
-}
-
 /// The probabilistic next-pit-lap model.
+#[derive(Clone)]
 pub struct PitModel {
     store: ParamStore,
     mu_net: Mlp,
@@ -95,24 +84,6 @@ pub struct PitModel {
     /// Input width: 2 (paper: CautionLaps, PitAge) or 4 (+TyreAge,
     /// TrackWetness under `use_scenario_features`).
     input_dim: usize,
-    runtime: OnceLock<PitRuntime>,
-}
-
-impl Clone for PitModel {
-    /// Deep-copies the weights but NOT the cached serving runtime: the
-    /// clone starts with an empty `OnceLock` and rebuilds its nets from its
-    /// own store on first `predict`. Sharing the runtime would be a
-    /// stale-weight hazard the moment either copy trains or imports.
-    fn clone(&self) -> PitModel {
-        PitModel {
-            store: self.store.clone(),
-            mu_net: self.mu_net.clone(),
-            sigma_net: self.sigma_net.clone(),
-            scale: self.scale,
-            input_dim: self.input_dim,
-            runtime: OnceLock::new(),
-        }
-    }
 }
 
 impl PitModel {
@@ -151,7 +122,6 @@ impl PitModel {
             sigma_net,
             scale: fuel_window,
             input_dim: d,
-            runtime: OnceLock::new(),
         }
     }
 
@@ -160,8 +130,32 @@ impl PitModel {
         self.input_dim
     }
 
-    fn features(&self, state: &PitState) -> Vec<f32> {
-        feature_row(self.input_dim, self.scale, state)
+    /// Normalised `(mu, sigma)` for each state, one row per state, on
+    /// `bind`'s tape: the one forward that training, validation and serving
+    /// all run.
+    fn forward<'s>(
+        &self,
+        bind: &Binding<'_>,
+        states: impl ExactSizeIterator<Item = &'s PitState>,
+    ) -> GaussianParams {
+        let tape = bind.tape();
+        let n = states.len();
+        let rows = states
+            .flat_map(|s| feature_row(self.input_dim, self.scale, s))
+            .collect();
+        let x = tape.leaf(Matrix::from_vec(n, self.input_dim, rows));
+        let mu = self.mu_net.forward(bind, x);
+        let sigma = tape.add_scalar(tape.softplus(self.sigma_net.forward(bind, x)), SIGMA_FLOOR);
+        GaussianParams { mu, sigma }
+    }
+
+    /// Gaussian NLL of the examples' normalised laps-to-pit.
+    fn nll(&self, bind: &Binding<'_>, examples: &[&PitExample]) -> Var {
+        let tape = bind.tape();
+        let params = self.forward(bind, examples.iter().map(|e| &e.state));
+        let target = examples.iter().map(|e| e.laps_to_pit / self.scale);
+        let target = tape.leaf(Matrix::from_vec(examples.len(), 1, target.collect()));
+        gaussian_nll(bind, params, target, None)
     }
 
     fn examples(sequences: &[&CarSequence]) -> Vec<PitExample> {
@@ -180,10 +174,12 @@ impl PitModel {
                 }
                 for i in start..pit_idx {
                     out.push(PitExample {
-                        caution_laps: seq.caution_laps[i],
-                        pit_age: seq.pit_age[i],
-                        tyre_age: seq.tyre_age.get(i).copied().unwrap_or(seq.pit_age[i]),
-                        track_wetness: seq.track_wetness.get(i).copied().unwrap_or(0.0),
+                        state: PitState {
+                            caution_laps: seq.caution_laps[i],
+                            pit_age: seq.pit_age[i],
+                            tyre_age: seq.tyre_age.get(i).copied().unwrap_or(seq.pit_age[i]),
+                            track_wetness: seq.track_wetness.get(i).copied().unwrap_or(0.0),
+                        },
                         laps_to_pit: (pit_idx - i) as f32,
                     });
                 }
@@ -202,24 +198,8 @@ impl PitModel {
         let n_val = (examples.len() / 10).max(1);
         let (train_ex, val_ex) = examples.split_at(examples.len() - n_val);
 
-        let scale = self.scale;
-        let input_dim = self.input_dim;
-        let mu_net = self.mu_net.clone();
-        let sigma_net = self.sigma_net.clone();
-        let features = |e: &PitExample| {
-            feature_row(
-                input_dim,
-                scale,
-                &PitState {
-                    caution_laps: e.caution_laps,
-                    pit_age: e.pit_age,
-                    tyre_age: e.tyre_age,
-                    track_wetness: e.track_wetness,
-                },
-            )
-        };
-
         let mut store = std::mem::take(&mut self.store);
+        let this: &PitModel = self;
         let train_cfg = TrainConfig {
             max_epochs: cfg.max_epochs.max(10),
             batch_size: 256,
@@ -234,20 +214,8 @@ impl PitModel {
             |store, batch| {
                 let tape = Tape::new();
                 let bind = Binding::new(&tape, store);
-                let b = batch.len();
-                let mut x = Matrix::zeros(b, input_dim);
-                let mut t = Matrix::zeros(b, 1);
-                for (i, &bi) in batch.iter().enumerate() {
-                    let e = &train_ex[bi];
-                    x.row_mut(i).copy_from_slice(&features(e));
-                    t.set(i, 0, e.laps_to_pit / scale);
-                }
-                let xv = tape.leaf(x);
-                let mu = mu_net.forward(&bind, xv);
-                let sigma =
-                    tape.add_scalar(tape.softplus(sigma_net.forward(&bind, xv)), SIGMA_FLOOR);
-                let target = tape.leaf(t);
-                let nll = gaussian_nll(&bind, GaussianParams { mu, sigma }, target, None);
+                let batch: Vec<&PitExample> = batch.iter().map(|&bi| &train_ex[bi]).collect();
+                let nll = this.nll(&bind, &batch);
                 let loss = tape.scalar(nll);
                 let g = bind.into_grads(nll);
                 store.apply_grads(g);
@@ -256,25 +224,10 @@ impl PitModel {
             |store| {
                 let tape = Tape::new();
                 let bind = Binding::new(&tape, store);
-                let b = val_ex.len();
-                let mut x = Matrix::zeros(b, input_dim);
-                let mut t = Matrix::zeros(b, 1);
-                for (i, e) in val_ex.iter().enumerate() {
-                    x.row_mut(i).copy_from_slice(&features(e));
-                    t.set(i, 0, e.laps_to_pit / scale);
-                }
-                let xv = tape.leaf(x);
-                let mu = mu_net.forward(&bind, xv);
-                let sigma =
-                    tape.add_scalar(tape.softplus(sigma_net.forward(&bind, xv)), SIGMA_FLOOR);
-                let target = tape.leaf(t);
-                let nll = gaussian_nll(&bind, GaussianParams { mu, sigma }, target, None);
-                tape.scalar(nll)
+                tape.scalar(this.nll(&bind, &val_ex.iter().collect::<Vec<_>>()))
             },
         );
         self.store = store;
-        // New weights: the cached serving runtime is stale.
-        self.runtime = OnceLock::new();
         report
     }
 
@@ -291,15 +244,12 @@ impl PitModel {
     /// Import weights exported by [`PitModel::export`] into a model built
     /// with the same constructor arguments.
     pub fn import(&mut self, entries: &[(String, rpf_tensor::Matrix)]) -> Result<(), String> {
-        // Invalidate unconditionally: a failed import may still have written
-        // some entries before erroring.
-        self.runtime = OnceLock::new();
         self.store.import(entries)
     }
 
-    /// Distribution over laps-until-next-pit for a car with the given state.
-    /// Runs on the cached tape-free runtime; bit-identical to the tape
-    /// forward (`softplus` floor included) that trains the same nets.
+    /// Distribution over laps-until-next-pit for a car with the given state,
+    /// on the same tape forward (`softplus` floor included) that trains the
+    /// nets.
     pub fn predict(&self, caution_laps: f32, pit_age: f32) -> (f32, f32) {
         self.predict_state(&PitState::legacy(caution_laps, pit_age))
     }
@@ -317,16 +267,10 @@ impl PitModel {
     /// ascending-`k` order whatever the row count, and the rest is
     /// elementwise.
     pub fn predict_states(&self, states: &[PitState]) -> Vec<(f32, f32)> {
-        let rt = self.runtime.get_or_init(|| PitRuntime {
-            mu_net: InferMlp::from_store(&self.store, &self.mu_net),
-            sigma_net: InferMlp::from_store(&self.store, &self.sigma_net),
-        });
-        let rows: Vec<f32> = states.iter().flat_map(|s| self.features(s)).collect();
-        let x = Matrix::from_vec(states.len(), self.input_dim, rows);
-        let mu = rt.mu_net.forward(&x);
-        let mut sigma = rt.sigma_net.forward(&x);
-        ops::softplus_assign(&mut sigma);
-        ops::add_scalar_assign(&mut sigma, SIGMA_FLOOR);
+        let tape = Tape::new();
+        let bind = Binding::new(&tape, &self.store);
+        let p = self.forward(&bind, states.iter());
+        let (mu, sigma) = (tape.value(p.mu), tape.value(p.sigma));
         (0..states.len())
             .map(|i| (mu.get(i, 0) * self.scale, sigma.get(i, 0) * self.scale))
             .collect()
@@ -431,7 +375,7 @@ mod tests {
         assert!(ex.len() > 1000);
         for e in &ex {
             assert!(e.laps_to_pit >= 1.0);
-            assert!(e.pit_age >= 0.0);
+            assert!(e.state.pit_age >= 0.0);
         }
     }
 
@@ -495,7 +439,11 @@ mod tests {
         let x = tape.leaf(Matrix::from_vec(
             1,
             model.input_dim,
-            model.features(&PitState::legacy(caution, age)),
+            feature_row(
+                model.input_dim,
+                model.scale,
+                &PitState::legacy(caution, age),
+            ),
         ));
         let mu = model.mu_net.forward(&bind, x);
         let sigma = tape.add_scalar(
@@ -525,9 +473,8 @@ mod tests {
                 "sigma at ({caution}, {age})"
             );
         }
-        // Retraining must rebuild the cached runtime, not serve stale
-        // weights: predict after a second train still matches the tape on
-        // the *new* store.
+        // Retraining must not serve stale weights: predict after a second
+        // train still matches the tape on the *new* store.
         cfg.max_epochs = 4;
         let _ = model.train(&ctxs, &cfg);
         let (mu, sigma) = model.predict(2.0, 15.0);

@@ -27,8 +27,8 @@ use rpf_nn::train::{
     shard_parallel_loss, try_train_resumable, TrainCheckpoint, TrainConfig, TrainError, TrainReport,
 };
 use rpf_nn::{
-    BatchScratch, Binding, GaussianHead, InferEmbedding, InferGaussianHead, InferStackedLstm,
-    ParamStore, RngStreams, StackedLstm,
+    BatchScratch, Binding, GaussianHead, InferGaussianHead, InferStackedLstm, ParamStore,
+    RngStreams, StackedLstm,
 };
 use rpf_tensor::par::par_ranges;
 use rpf_tensor::Matrix;
@@ -94,9 +94,9 @@ struct BatchedRowPlan {
     src: usize,
 }
 
-/// Tape-free serving runtime for one [`RankModel`]: forward-only mirrors of
-/// the LSTM stack, Gaussian heads and car embedding, converted one-shot from
-/// the trained store (weights cloned once, at conversion time). Read-only
+/// Tape-free serving runtime for one [`RankModel`]: the LSTM stack and
+/// Gaussian heads on the batched kernels, converted one-shot from the
+/// trained store (weights cloned once, at conversion time). Read-only
 /// and `Sync`: [`RankModel::decode_runs_batched`] builds one per call and
 /// shares it across every worker thread. Its LSTM stack steps on the same
 /// batched kernel as [`RankModel::encode`], so encoder and decoder answer to
@@ -104,7 +104,6 @@ struct BatchedRowPlan {
 pub struct RankRuntime {
     lstm: InferStackedLstm,
     heads: Vec<InferGaussianHead>,
-    emb: InferEmbedding,
 }
 
 #[derive(Clone)]
@@ -447,7 +446,6 @@ impl RankModel {
                 .iter()
                 .map(|h| InferGaussianHead::from_store(&self.store, h))
                 .collect(),
-            emb: InferEmbedding::from_store(&self.store, &self.emb),
         }
     }
 
@@ -804,16 +802,15 @@ impl RankModel {
         let mut sigma1 = Matrix::zeros(0, 0);
         let mut mu2 = Matrix::zeros(0, 0);
         let mut sigma2 = Matrix::zeros(0, 0);
+        let table = self.store.value(self.emb.table);
         for (li, p) in plan.iter().enumerate() {
             let run = &runs[p.run];
-            input.row_mut(li)[self.base_dim..]
-                .copy_from_slice(runtime.emb.row(run.enc.car_ids[p.src]));
+            input.row_mut(li)[self.base_dim..].copy_from_slice(table.row(run.enc.car_ids[p.src]));
         }
         for (gi, &li) in groups.iter().enumerate() {
             let p = &plan[li];
             let run = &runs[p.run];
-            g_input.row_mut(gi)[self.base_dim..]
-                .copy_from_slice(runtime.emb.row(run.enc.car_ids[p.src]));
+            g_input.row_mut(gi)[self.base_dim..].copy_from_slice(table.row(run.enc.car_ids[p.src]));
         }
 
         let max_horizon = runs.iter().map(|r| r.horizon).max().unwrap_or(0);

@@ -55,8 +55,8 @@ impl RankNetVariant {
 /// The composed forecaster.
 ///
 /// `Clone` deep-copies both sub-models (the lifecycle layer clones a live
-/// version to fine-tune a candidate off to the side); any cached serving
-/// runtime is rebuilt lazily by the clone, never shared.
+/// version to fine-tune a candidate off to the side); neither keeps a
+/// serving cache, so a clone shares nothing with its source.
 #[derive(Clone)]
 pub struct RankNet {
     pub variant: RankNetVariant,

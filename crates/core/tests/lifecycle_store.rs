@@ -210,7 +210,8 @@ fn quarantine_keeps_colliding_post_mortems_apart() {
 }
 
 /// A manifest nested far past any real one is parsed before any checksum
-/// check: it must surface as `Corrupt`, not overflow the stack.
+/// check: it must surface as `Corrupt`, not overflow the stack, and `load`
+/// quarantines it so the corrupt manifest is parsed at most once.
 #[test]
 fn deeply_nested_manifest_is_corrupt() {
     let root = store_root("deep_manifest");
@@ -228,5 +229,11 @@ fn deeply_nested_manifest_is_corrupt() {
             other => panic!("expected corrupt, got {other:?}"),
         }
     }
+    let quarantined = store.quarantined().expect("readable");
+    assert!(
+        quarantined.iter().any(|q| q.starts_with("v000001-corrupt")),
+        "corrupt manifest must be quarantined, saw {quarantined:?}"
+    );
+    assert!(matches!(store.load(1), Err(LifecycleError::NotFound(1))));
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -116,7 +116,7 @@ fn is_timeout(e: &std::io::Error) -> bool {
 /// 400/413/431 for a request the parser refused.
 fn reject_response(e: &HttpError) -> Response {
     let mut body = String::from("{\"error\":{\"kind\":\"bad_http\",\"message\":");
-    crate::json::write_str(&mut body, e.message());
+    rpf_obs::write_json_str(&mut body, e.message());
     body.push_str("}}");
     Response::json(e.status(), body)
 }

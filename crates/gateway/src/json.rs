@@ -1,6 +1,8 @@
-//! Minimal hand-rolled JSON: a recursive-descent parser and the few
-//! serialization helpers the gateway needs. Std-only like the rest of the
-//! workspace — the vendored `serde_json` stub stays a stub.
+//! Minimal hand-rolled JSON: a recursive-descent parser and the float
+//! writer the gateway needs; strings are written by
+//! [`rpf_obs::write_json_str`]. The vendored `serde_json` stub accepts the
+//! same grammar (RFC 8259 numbers, four-digit `\u` escapes, no raw control
+//! bytes); this parser also caps nesting at 64.
 //!
 //! # Float round-trip
 //!
@@ -314,25 +316,6 @@ pub fn write_f32(out: &mut String, v: f32) {
     }
 }
 
-/// Append `s` as a quoted, escaped JSON string.
-pub fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,7 +391,7 @@ mod tests {
     fn string_escapes_round_trip() {
         let original = "tab\there \"quoted\" back\\slash\nnewline ünïcode";
         let mut s = String::new();
-        write_str(&mut s, original);
+        rpf_obs::write_json_str(&mut s, original);
         assert_eq!(parse(&s).expect("valid").as_str(), Some(original));
     }
 }

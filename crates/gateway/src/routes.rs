@@ -205,7 +205,7 @@ pub fn render_forecast_response(resp: &ServeResponse) -> String {
     match resp.fallback {
         Some(f) => {
             out.push_str("\"fallback\":");
-            json::write_str(&mut out, fallback_str(f));
+            rpf_obs::write_json_str(&mut out, fallback_str(f));
             out.push(',');
         }
         None => out.push_str("\"fallback\":null,"),
@@ -298,16 +298,16 @@ pub fn parse_forecast_response(body: &str) -> Result<ServeResponse, String> {
 /// `{"error":{"kind":...,"message":...,<extra>}}`.
 fn error_body(kind: &str, extra: &[(&str, &str)]) -> String {
     let mut out = String::from("{\"error\":{\"kind\":");
-    json::write_str(&mut out, kind);
+    rpf_obs::write_json_str(&mut out, kind);
     for (name, value) in extra {
         out.push(',');
-        json::write_str(&mut out, name);
+        rpf_obs::write_json_str(&mut out, name);
         out.push(':');
         // Extras are numbers or plain strings; numbers pass through bare.
         if value.bytes().all(|b| b.is_ascii_digit()) && !value.is_empty() {
             out.push_str(value);
         } else {
-            json::write_str(&mut out, value);
+            rpf_obs::write_json_str(&mut out, value);
         }
     }
     out.push_str("}}");

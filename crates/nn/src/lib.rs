@@ -13,10 +13,10 @@
 //!   implementation in GluonTS it builds on),
 //! * [`attention`] — multi-head attention and the Transformer
 //!   encoder/decoder layers of the §IV-I comparison,
-//! * [`infer`] — the tape-free inference runtime: forward-only mirrors of
-//!   the layers above, converted one-shot from a trained [`ParamStore`] and
-//!   stepping on reusable scratch buffers; bit-identical to the tape
-//!   forward pass but without its per-step allocation and bookkeeping,
+//! * [`infer`] — the batched serving kernels of the Monte-Carlo decode: the
+//!   LSTM step and the Gaussian head, converted one-shot from a trained
+//!   [`ParamStore`] and stepping on reusable scratch buffers, within a
+//!   pinned tolerance of the tape (every other layer serves on the tape),
 //! * [`gaussian`] — the probabilistic output: a network predicts
 //!   `θ = (µ, σ)` with `σ = softplus(...)`, trained by Gaussian negative
 //!   log-likelihood (paper Eq. 1) and sampled ancestrally at forecast time,
@@ -45,10 +45,7 @@ pub mod train;
 pub use adam::{Adam, AdamState};
 pub use data::{Batch, BatchIter};
 pub use gaussian::GaussianHead;
-pub use infer::{
-    BatchScratch, InferEmbedding, InferGaussianHead, InferLinear, InferLstmCell, InferMlp,
-    InferStackedLstm,
-};
+pub use infer::{BatchScratch, InferGaussianHead, InferLstmCell, InferStackedLstm};
 pub use linear::Linear;
 pub use lstm::{LstmCell, StackedLstm};
 pub use mlp::Mlp;

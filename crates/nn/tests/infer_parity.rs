@@ -1,19 +1,17 @@
-//! Property-based parity suite for the tape-free inference runtime: for
+//! Property-based parity suite for the batched serving kernels: for
 //! arbitrary weight seeds (→ arbitrary `ParamStore` contents) and arbitrary
-//! inputs, every `Infer*` layer is pinned against the tape forward of the
-//! layer it mirrors. The Linear, MLP and Gaussian-head forwards run the
-//! tape's own kernels and are compared on `f32::to_bits`; the LSTM step and
-//! the batched head run the FMA kernels and are compared within a pinned
-//! tolerance (second half of this file).
+//! inputs, the LSTM step and the batched Gaussian head are pinned against
+//! the tape forward of the layer they serve for. Both run FMA kernels, so
+//! the contract is a pinned tolerance, plus bit-determinism and row
+//! independence in their own right.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rpf_autodiff::Tape;
-use rpf_nn::mlp::Activation;
 use rpf_nn::{
-    BatchScratch, Binding, GaussianHead, InferGaussianHead, InferLinear, InferMlp,
-    InferStackedLstm, Linear, Mlp, ParamStore, StackedLstm,
+    BatchScratch, Binding, GaussianHead, InferGaussianHead, InferStackedLstm, ParamStore,
+    StackedLstm,
 };
 use rpf_tensor::Matrix;
 
@@ -29,59 +27,6 @@ fn assert_bits(got: &Matrix, want: &Matrix) -> Result<(), TestCaseError> {
     }
     Ok(())
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn linear_parity(x in matrix(4, 6), seed in 0u64..1000) {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let lin = Linear::new(&mut store, &mut rng, "l", 6, 3);
-        let tape = Tape::new();
-        let bind = Binding::new(&tape, &store);
-        let want = tape.value(lin.forward(&bind, tape.leaf(x.clone())));
-
-        let inf = InferLinear::from_store(&store, &lin);
-        assert_bits(&inf.forward(&x), &want)?;
-    }
-
-    #[test]
-    fn mlp_parity(x in matrix(5, 3), seed in 0u64..1000, relu in 0u8..2) {
-        let act = if relu == 1 { Activation::Relu } else { Activation::Tanh };
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mlp = Mlp::new(&mut store, &mut rng, "m", &[3, 16, 16, 1], act);
-        let tape = Tape::new();
-        let bind = Binding::new(&tape, &store);
-        let want = tape.value(mlp.forward(&bind, tape.leaf(x.clone())));
-
-        let inf = InferMlp::from_store(&store, &mlp);
-        assert_bits(&inf.forward(&x), &want)?;
-    }
-
-    #[test]
-    fn gaussian_head_parity(h in matrix(6, 7), seed in 0u64..1000) {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let head = GaussianHead::new(&mut store, &mut rng, "g", 7);
-        let tape = Tape::new();
-        let bind = Binding::new(&tape, &store);
-        let p = head.forward(&bind, tape.leaf(h.clone()));
-
-        let inf = InferGaussianHead::from_store(&store, &head);
-        let (mu, sigma) = inf.forward(&h);
-        assert_bits(&mu, &tape.value(p.mu))?;
-        assert_bits(&sigma, &tape.value(p.sigma))?;
-    }
-}
-
-// ---- batched backend parity --------------------------------------------
-//
-// The LSTM step and the batched head (`step` / `forward_batch`) run
-// FMA-contracted GEMMs and polynomial fast activations, so their contract
-// is *tolerance*, not bits: outputs track the tape within `BATCH_TOL`, and
-// are bit-deterministic / row-independent in their own right.
 
 /// Pinned batched-vs-tape bound. Headroom decomposition: the fast
 /// tanh/sigmoid rationals are within 2e-6 of libm, FMA contraction differs
@@ -175,8 +120,11 @@ proptest! {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(seed);
         let head = GaussianHead::new(&mut store, &mut rng, "g", 7);
+        let tape = Tape::new();
+        let bind = Binding::new(&tape, &store);
+        let p = head.forward(&bind, tape.leaf(h.clone()));
+        let (mu, sigma) = (tape.value(p.mu), tape.value(p.sigma));
         let inf = InferGaussianHead::from_store(&store, &head);
-        let (mu, sigma) = inf.forward(&h);
         let (mut mu_b, mut sigma_b) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         inf.forward_batch(&h, &mut mu_b, &mut sigma_b);
         assert_close(&mu_b, &mu, BATCH_TOL)?;

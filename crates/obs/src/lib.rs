@@ -26,7 +26,8 @@ pub mod span;
 pub use clock::{Clock, VirtualClock, WallClock};
 pub use registry::{Counter, Gauge, Histogram, LocalCounter, LocalHistogram, Registry};
 pub use snapshot::{
-    CounterSample, GaugeSample, HistogramSample, MetricsSnapshot, OpSample, SpanSample,
+    write_json_str, CounterSample, GaugeSample, HistogramSample, MetricsSnapshot, OpSample,
+    SpanSample,
 };
 pub use span::{span_name, SpanGuard, SpanName, Tracer};
 

@@ -377,8 +377,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// JSON string escape for the name fields (metric names are ASCII
-/// identifiers, but escape defensively).
 /// Split a sample name into `(base, labels)` at the first `{`: a name
 /// like `serve_submitted{shard="0"}` carries its label set inline so
 /// merged snapshots can hold the same metric under many label variants.
@@ -397,8 +395,11 @@ fn brace(labels: Option<&str>) -> String {
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Append `s` as a quoted JSON string, escaping the quote, the backslash
+/// and every control character (`\n`, `\r` and `\t` by name, the rest as
+/// `\u00XX`). The one JSON string writer of the exporters and the
+/// gateway's wire bodies.
+pub fn write_json_str(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {
@@ -412,6 +413,13 @@ fn json_str(s: &str) -> String {
         }
     }
     out.push('"');
+}
+
+/// [`write_json_str`] into a fresh string, for the `format!` lines above
+/// (metric names are ASCII identifiers, but escape defensively).
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_json_str(&mut out, s);
     out
 }
 

@@ -12,10 +12,9 @@
 //! Every element is `Σ_k a[i,k]·b[k,j]` in ascending `k` with separate
 //! mul/add (never FMA), skipping `a[i,k] == 0.0`. These are the only
 //! non-FMA GEMMs in the crate. The autodiff tape trains on them, and the
-//! tape-free `Linear`/MLP/Gaussian head/Transformer forwards call the same
-//! [`matmul`], so those layers stay bit-identical to the tape. The LSTM
-//! serving steps (encoder and decoder) run the FMA kernels of
-//! [`crate::batched`] instead.
+//! PitModel and the Transformer serve on the tape itself. The LSTM serving
+//! steps (encoder and decoder) and the batched Gaussian head run the FMA
+//! kernels of [`crate::batched`] instead.
 
 use crate::matrix::Matrix;
 use rpf_obs::ops::{self, OpClass};

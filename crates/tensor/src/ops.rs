@@ -216,12 +216,12 @@ pub fn softmax_rows(a: &Matrix) -> Matrix {
 }
 
 // ---------------------------------------------------------------------------
-// In-place kernels for the tape-free inference runtime.
+// In-place kernels: the batched Gaussian head's sigma link and gradient
+// accumulation.
 //
 // Each kernel below applies the *same elementwise formula* as its allocating
-// counterpart above, so an inference layer built from them stays
-// bit-identical to the training-graph forward pass. Their byte counts skip
-// the clone traffic the allocating versions pay: reads + writes only.
+// counterpart above. Their byte counts skip the clone traffic the allocating
+// versions pay: reads + writes only.
 // ---------------------------------------------------------------------------
 
 /// In-place scalar addition: `a += s` elementwise.
@@ -232,28 +232,6 @@ pub fn add_scalar_assign(a: &mut Matrix, s: f32) {
     }
     let n = a.len() as u64;
     ops::record(OpClass::Scalar, n, 8 * n, started);
-}
-
-/// In-place hyperbolic tangent.
-pub fn tanh_assign(a: &mut Matrix) {
-    let started = ops::start();
-    for o in a.as_mut_slice() {
-        *o = crate::scalar::tanh(*o);
-    }
-    let n = a.len() as u64;
-    ops::record(OpClass::Scalar, 10 * n, 8 * n, started);
-}
-
-/// In-place ReLU.
-pub fn relu_assign(a: &mut Matrix) {
-    let started = ops::start();
-    for o in a.as_mut_slice() {
-        if *o < 0.0 {
-            *o = 0.0;
-        }
-    }
-    let n = a.len() as u64;
-    ops::record(OpClass::Other, n, 8 * n, started);
 }
 
 /// In-place numerically-stable softplus, same formula as [`softplus`].
@@ -378,14 +356,6 @@ mod tests {
         let mut x = a.clone();
         add_scalar_assign(&mut x, 1e-3);
         assert_eq!(&x, &add_scalar(&a, 1e-3));
-
-        let mut x = a.clone();
-        relu_assign(&mut x);
-        assert_eq!(&x, &relu(&a));
-
-        let mut x = a.clone();
-        tanh_assign(&mut x);
-        assert_eq!(&x, &tanh(&a));
 
         let mut x = a.clone();
         softplus_assign(&mut x);

@@ -1,11 +1,9 @@
 //! Scalar transcendental primitives shared by every elementwise kernel.
 //!
 //! There is exactly one tape-side `sigmoid` and one `tanh` in the
-//! workspace — the training-graph ops and the tape-free layers that keep the
-//! bitwise contract (an MLP's tanh activation) route through the functions
-//! here, so for them backend parity is a *bit* guarantee rather than a
-//! tolerance: two paths that apply the same scalar function in the same
-//! order cannot drift. The batched LSTM kernels use the faster
+//! workspace: every training-graph op routes through the functions here,
+//! and so does every layer that serves on the tape (the PitModel, the
+//! Transformer). The batched LSTM kernels use the faster
 //! `batched::fast_tanh` / `fast_sigmoid` under a pinned tolerance instead.
 //!
 //! The implementations are branch-free polynomial forms (Cephes-style `expf`
@@ -13,8 +11,8 @@
 //! auto-vectorize the elementwise loops in [`crate::ops`]. On the serving
 //! path the LSTM gate activations are ~35% of decode walltime with `libm`;
 //! the vectorized forms cut that several-fold while staying within ~2 ulp of
-//! the reference, and — because training uses the same scalars — parity
-//! between the tape and tape-free backends is unaffected.
+//! the reference, and training and tape-served inference use the same
+//! scalars.
 
 /// Natural exponential, branch-free.
 ///

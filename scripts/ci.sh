@@ -27,7 +27,7 @@ echo "== tape GEMM parity (matmul/matmul_at/matmul_bt bitwise to the reference l
 cargo test -q -p rpf-tensor --test proptests --offline
 cargo test -q -p rpf-nn --test gradient_bits --offline
 
-echo "== backend parity (Linear/MLP/head/Transformer bitwise to the tape, batched LSTM step within tolerance of the tape) =="
+echo "== backend parity (batched LSTM step and forward_batch within tolerance of the tape, bit-deterministic, row-independent) =="
 cargo test -q -p rpf-nn --test infer_parity --offline
 
 echo "== decode parity (batched vs tape within tolerance, bit-deterministic) =="
@@ -42,7 +42,7 @@ cargo test -q -p ranknet-core --test engine_cache --offline
 echo "== lifecycle store (versioned artifacts, torn/corrupt quarantine) =="
 cargo test -q -p ranknet-core --test lifecycle_store --offline
 
-echo "== pit runtime rebuild (import invalidates the cached runtime) =="
+echo "== pit runtime rebuild (predict after import or clone serves the current weights) =="
 cargo test -q -p ranknet-core --test pit_runtime_rebuild --offline
 
 echo "== covariate sampling parity (hoisted == per-draw reference) =="
