@@ -26,10 +26,7 @@ use rpf_nn::gaussian::{
 use rpf_nn::train::{
     shard_parallel_loss, try_train_resumable, TrainCheckpoint, TrainConfig, TrainError, TrainReport,
 };
-use rpf_nn::{
-    BatchScratch, Binding, GaussianHead, InferGaussianHead, InferStackedLstm, ParamStore,
-    RngStreams, StackedLstm,
-};
+use rpf_nn::{Binding, GaussianHead, ParamStore, RngStreams, StackedLstm};
 use rpf_tensor::par::par_ranges;
 use rpf_tensor::Matrix;
 
@@ -92,18 +89,6 @@ struct BatchedRowPlan {
     run: usize,
     ri: usize,
     src: usize,
-}
-
-/// Tape-free serving runtime for one [`RankModel`]: the LSTM stack and
-/// Gaussian heads on the batched kernels, converted one-shot from the
-/// trained store (weights cloned once, at conversion time). Read-only
-/// and `Sync`: [`RankModel::decode_runs_batched`] builds one per call and
-/// shares it across every worker thread. Its LSTM stack steps on the same
-/// batched kernel as [`RankModel::encode`], so encoder and decoder answer to
-/// one tolerance contract (`DESIGN.md` §13).
-pub struct RankRuntime {
-    lstm: InferStackedLstm,
-    heads: Vec<InferGaussianHead>,
 }
 
 #[derive(Clone)]
@@ -435,20 +420,6 @@ impl RankModel {
 
     // ---- forecasting (Algorithm 2) --------------------------------------
 
-    /// Build the tape-free serving runtime: a one-shot conversion of the
-    /// current weights into forward-only layers. Rebuild after any weight
-    /// mutation (the runtime holds its own copies).
-    pub fn runtime(&self) -> RankRuntime {
-        RankRuntime {
-            lstm: InferStackedLstm::from_store(&self.store, &self.lstm),
-            heads: self
-                .heads
-                .iter()
-                .map(|h| InferGaussianHead::from_store(&self.store, h))
-                .collect(),
-        }
-    }
-
     /// Probabilistic forecast for every car of `ctx` from `origin`
     /// (sequence index) `horizon` steps ahead. `cov_future.rows[car][step]`
     /// supplies the decoder covariates (ground truth for Oracle, PitModel
@@ -489,16 +460,17 @@ impl RankModel {
     /// [`crate::engine::ForecastEngine`] amortises it.
     ///
     /// Steps on the batched LSTM kernel the decoder uses
-    /// ([`InferStackedLstm::step`]), so the states track
+    /// ([`StackedLstm::step_batched`], weights read in place from
+    /// `self.store`), so the states track
     /// [`RankModel::encode_tape`] within the tolerance contract of
     /// `DESIGN.md` §13. Each row depends only on its own car's inputs, and
     /// the steps run in a fixed order, so the states are bit-identical on
     /// every call.
     pub fn encode(&self, ctx: &RaceContext, origin: usize) -> EncoderState {
-        let lstm = InferStackedLstm::from_store(&self.store, &self.lstm);
-        let mut scratch = BatchScratch::new();
+        let mut gates = Matrix::zeros(0, 0);
         self.encode_with(ctx, origin, |input, _, states| {
-            lstm.step(input, states, &mut scratch)
+            self.lstm
+                .step_batched(&self.store, input, states, &mut gates)
         })
     }
 
@@ -621,8 +593,10 @@ impl RankModel {
     }
 
     /// The serving decode: ancestral sampling (Algorithm 2) with every
-    /// trajectory advanced lock-step through the FMA GEMM / fast-activation kernels of
-    /// `rpf_tensor::batched` (see `DESIGN.md` §13).
+    /// trajectory advanced lock-step through [`StackedLstm::step_batched`]
+    /// and [`GaussianHead::forward_batched`], the FMA GEMM /
+    /// fast-activation kernels of `rpf_tensor::batched` over the weights
+    /// in `self.store` (see `DESIGN.md` §13).
     ///
     /// Contract: *tolerance-pinned*, not bitwise — outputs track
     /// [`RankModel::decode_tape`] within the bound the `decode_parity` suite
@@ -674,7 +648,6 @@ impl RankModel {
         runs: &[BatchedRun<'_>],
         threads: usize,
     ) -> Vec<Vec<Vec<f32>>> {
-        let runtime = self.runtime();
         let mut plan: Vec<BatchedRowPlan> = Vec::new();
         let mut run_rows: Vec<usize> = Vec::with_capacity(runs.len());
         for (r, run) in runs.iter().enumerate() {
@@ -692,7 +665,7 @@ impl RankModel {
         // the process; the engine's degradation pass replaces them with the
         // CurRank baseline and flags the forecast.
         let mut flat = par_ranges(plan.len(), threads, |rows| {
-            self.decode_rows_batched(runs, &runtime, &plan[rows])
+            self.decode_rows_batched(runs, &plan[rows])
         })
         .into_iter()
         .flat_map(|(rows, out)| {
@@ -728,7 +701,6 @@ impl RankModel {
     fn decode_rows_batched(
         &self,
         runs: &[BatchedRun<'_>],
-        runtime: &RankRuntime,
         plan: &[BatchedRowPlan],
     ) -> Vec<Vec<f32>> {
         let cb = plan.len();
@@ -795,7 +767,7 @@ impl RankModel {
         let top = self.cfg.num_layers - 1;
         let mut input = Matrix::zeros(cb, self.base_dim + self.cfg.embedding_dim);
         let mut g_input = Matrix::zeros(ng, self.base_dim + self.cfg.embedding_dim);
-        let mut scratch = BatchScratch::new();
+        let mut gates = Matrix::zeros(0, 0);
         let mut mu = Matrix::zeros(0, 0);
         let mut sigma = Matrix::zeros(0, 0);
         let mut mu1 = Matrix::zeros(0, 0);
@@ -879,7 +851,8 @@ impl RankModel {
                 }
             }
             let hidden = if compact {
-                runtime.lstm.step(&g_input, &mut g_states, &mut scratch);
+                self.lstm
+                    .step_batched(&self.store, &g_input, &mut g_states, &mut gates);
                 // Fan the stepped group state out to every replica row —
                 // bit-identical to having stepped each replica, and the
                 // same copy volume the per-row encoder seeding would cost.
@@ -892,13 +865,14 @@ impl RankModel {
                 }
                 &g_states[top].0
             } else {
-                runtime.lstm.step(&input, &mut h_states, &mut scratch);
+                self.lstm
+                    .step_batched(&self.store, &input, &mut h_states, &mut gates);
                 &h_states[top].0
             };
             // Index of a row's mu/sigma entry in this step's head output.
             let oi = |li: usize| if compact { group_of[li] } else { li };
 
-            runtime.heads[0].forward_batch(hidden, &mut mu, &mut sigma);
+            self.heads[0].forward_batched(&self.store, hidden, &mut mu, &mut sigma);
             for (li, p) in plan.iter().enumerate() {
                 let run = &runs[p.run];
                 if step >= run.horizon {
@@ -928,8 +902,8 @@ impl RankModel {
                 last_rank[li] = rank;
             }
             if self.kind == TargetKind::Joint {
-                runtime.heads[1].forward_batch(hidden, &mut mu1, &mut sigma1);
-                runtime.heads[2].forward_batch(hidden, &mut mu2, &mut sigma2);
+                self.heads[1].forward_batched(&self.store, hidden, &mut mu1, &mut sigma1);
+                self.heads[2].forward_batched(&self.store, hidden, &mut mu2, &mut sigma2);
                 for (li, p) in plan.iter().enumerate() {
                     if step >= runs[p.run].horizon {
                         continue;

@@ -11,7 +11,8 @@ use crate::params::{Binding, ParamStore};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rpf_autodiff::Var;
-use rpf_tensor::Matrix;
+use rpf_tensor::batched::dual_affine_into;
+use rpf_tensor::{ops, Matrix};
 
 /// Lower bound on sigma to keep the likelihood finite.
 pub const SIGMA_FLOOR: f32 = 1e-3;
@@ -67,6 +68,34 @@ impl GaussianHead {
         let sigma_raw = self.sigma.forward(bind, h);
         let sigma = t.add_scalar(t.softplus(sigma_raw), SIGMA_FLOOR);
         GaussianParams { mu, sigma }
+    }
+
+    /// Tape-free forward for the batched decode, with the weights read
+    /// straight from `store`: `h` is `(batch, hidden)`; writes `(batch, 1)`
+    /// `(mu, sigma)` into caller-owned outputs. The mu/sigma projections
+    /// run as one fused pass over the block (`dual_affine_into`), then
+    /// softplus and the sigma floor in place. Within a few ulps of
+    /// [`GaussianHead::forward`]; row-independent, so each row's output is
+    /// invariant to the rest of the batch.
+    pub fn forward_batched(
+        &self,
+        store: &ParamStore,
+        h: &Matrix,
+        mu: &mut Matrix,
+        sigma: &mut Matrix,
+    ) {
+        let _scope = rpf_obs::ops::class_scope(rpf_obs::ops::OpClass::GaussianHead);
+        dual_affine_into(
+            h,
+            store.value(self.mu.w),
+            store.value(self.mu.b).as_slice()[0],
+            store.value(self.sigma.w),
+            store.value(self.sigma.b).as_slice()[0],
+            mu,
+            sigma,
+        );
+        ops::softplus_assign(sigma);
+        ops::add_scalar_assign(sigma, SIGMA_FLOOR);
     }
 }
 

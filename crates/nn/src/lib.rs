@@ -10,16 +10,16 @@
 //! * [`linear`], [`embedding`], [`mlp`] — dense building blocks,
 //! * [`lstm`] — the LSTM cell and the 2-layer stack the paper uses for both
 //!   encoder and decoder (shared weights, exactly like the DeepAR
-//!   implementation in GluonTS it builds on),
+//!   implementation in GluonTS it builds on); `step_batched` is the
+//!   tape-free serving step of the Monte-Carlo decode, on the FMA kernels
+//!   within a pinned tolerance of the tape,
 //! * [`attention`] — multi-head attention and the Transformer
 //!   encoder/decoder layers of the §IV-I comparison,
-//! * [`infer`] — the batched serving kernels of the Monte-Carlo decode: the
-//!   LSTM step and the Gaussian head, converted one-shot from a trained
-//!   [`ParamStore`] and stepping on reusable scratch buffers, within a
-//!   pinned tolerance of the tape (every other layer serves on the tape),
 //! * [`gaussian`] — the probabilistic output: a network predicts
 //!   `θ = (µ, σ)` with `σ = softplus(...)`, trained by Gaussian negative
-//!   log-likelihood (paper Eq. 1) and sampled ancestrally at forecast time,
+//!   log-likelihood (paper Eq. 1) and sampled ancestrally at forecast time;
+//!   `forward_batched` is the head's tape-free serving forward (every other
+//!   layer serves on the tape),
 //! * [`adam`] — the Adam optimizer with gradient clipping,
 //! * [`train`] — minibatch loop with learning-rate decay on plateau and
 //!   early stopping (paper §IV-C), shard-parallel gradient computation on
@@ -33,7 +33,6 @@ pub mod embedding;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
 pub mod gaussian;
-pub mod infer;
 pub mod init;
 pub mod linear;
 pub mod lstm;
@@ -45,7 +44,6 @@ pub mod train;
 pub use adam::{Adam, AdamState};
 pub use data::{Batch, BatchIter};
 pub use gaussian::GaussianHead;
-pub use infer::{BatchScratch, InferGaussianHead, InferLstmCell, InferStackedLstm};
 pub use linear::Linear;
 pub use lstm::{LstmCell, StackedLstm};
 pub use mlp::Mlp;

@@ -4,11 +4,21 @@
 //! Sigmoid, Tanh — and profiles them; this implementation produces exactly
 //! those kernels on the tape, so the `rpf_obs::ops` profile of a training
 //! run records the same operator mix.
+//!
+//! Serving steps the same layers with `step_batched`: no tape, the weights
+//! read in place from the [`ParamStore`], and the FMA / fast-activation
+//! kernel of `rpf_tensor::batched` updating caller-owned state. That path
+//! tracks the tape within a pinned bound (`DESIGN.md` §13,
+//! `crates/nn/tests/infer_parity.rs`) and is bit-deterministic and
+//! row-independent for a fixed batch layout: a row's bits do not depend on
+//! which rows share its batch, so threads, shards and the wire cannot move
+//! them.
 
 use crate::init::xavier_uniform;
 use crate::params::{Binding, ParamId, ParamStore};
 use rand::rngs::StdRng;
 use rpf_autodiff::Var;
+use rpf_tensor::batched::lstm_step_fused_batched;
 use rpf_tensor::Matrix;
 
 /// Hidden/cell state pair for one LSTM layer: both `(batch, hidden)`.
@@ -90,6 +100,33 @@ impl LstmCell {
         let h_out = t.mul(o, t.tanh(c));
         LstmState { h: h_out, c }
     }
+
+    /// One tape-free time step, updating `h` and `c` in place on the FMA /
+    /// fast-activation kernel ([`lstm_step_fused_batched`]), with the
+    /// weights read straight from `store`. Not bit-identical to
+    /// [`LstmCell::step`] — within a few ulps per element — but
+    /// row-independent and bit-deterministic for a fixed batch layout.
+    /// `gates` is a caller-owned `4 × 4·hidden` tile, so a warm step
+    /// allocates nothing.
+    pub fn step_batched(
+        &self,
+        store: &ParamStore,
+        x: &Matrix,
+        h: &mut Matrix,
+        c: &mut Matrix,
+        gates: &mut Matrix,
+    ) {
+        lstm_step_fused_batched(
+            x,
+            store.value(self.w_ih),
+            store.value(self.w_hh),
+            store.value(self.bias),
+            h,
+            c,
+            self.hidden_dim,
+            gates,
+        );
+    }
 }
 
 /// A stack of LSTM layers (the paper uses two, 40 units each — Table IV).
@@ -147,6 +184,29 @@ impl StackedLstm {
             new_states.push(s);
         }
         (input, new_states)
+    }
+
+    /// One tape-free time step through the full stack
+    /// ([`LstmCell::step_batched`] per layer), updating every layer's
+    /// `(h, c)` in place; the top layer's hidden output is `states.last().0`
+    /// afterwards.
+    pub fn step_batched(
+        &self,
+        store: &ParamStore,
+        x: &Matrix,
+        states: &mut [(Matrix, Matrix)],
+        gates: &mut Matrix,
+    ) {
+        assert_eq!(states.len(), self.layers.len(), "state count mismatch");
+        {
+            let (h, c) = &mut states[0];
+            self.layers[0].step_batched(store, x, h, c, gates);
+        }
+        for l in 1..self.layers.len() {
+            let (prev, rest) = states.split_at_mut(l);
+            let (h, c) = &mut rest[0];
+            self.layers[l].step_batched(store, &prev[l - 1].0, h, c, gates);
+        }
     }
 }
 
@@ -295,5 +355,43 @@ mod tests {
         let x2 = tape.leaf(Matrix::ones(3, 6));
         let (out2, _) = stack.step(&bind, x2, &states);
         assert_eq!(tape.shape(out2), (3, 4));
+    }
+
+    fn ramp(rows: usize, cols: usize, scale_by: f32) -> Matrix {
+        Matrix::from_fn(rows, cols, |r, c| ((r * cols + c) as f32 - 5.0) * scale_by)
+    }
+
+    #[test]
+    fn stacked_lstm_steps_track_tape() {
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(31);
+        let stack = StackedLstm::new(&mut store, &mut rng, "enc", 5, 4, 2);
+
+        let tape = Tape::new();
+        let bind = Binding::new(&tape, &store);
+        let mut tape_states = stack.zero_state(&bind, 3);
+
+        let mut states: Vec<(Matrix, Matrix)> = (0..2)
+            .map(|_| (Matrix::zeros(3, 4), Matrix::zeros(3, 4)))
+            .collect();
+        let mut gates = Matrix::zeros(0, 0);
+
+        // FMA + fast activations: within a few ulps per step, not bitwise.
+        let close = |a: &Matrix, b: &Matrix| {
+            assert_eq!(a.shape(), b.shape());
+            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+                assert!((x - y).abs() <= 1e-5, "{x} vs {y}");
+            }
+        };
+        for step in 0..4 {
+            let x = ramp(3, 5, 0.1 * (step as f32 + 1.0));
+            let (_, new_states) = stack.step(&bind, tape.leaf(x.clone()), &tape_states);
+            tape_states = new_states;
+            stack.step_batched(&store, &x, &mut states, &mut gates);
+            for (l, s) in tape_states.iter().enumerate() {
+                close(&states[l].0, &tape.value(s.h));
+                close(&states[l].1, &tape.value(s.c));
+            }
+        }
     }
 }

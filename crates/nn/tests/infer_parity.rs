@@ -9,10 +9,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rpf_autodiff::Tape;
-use rpf_nn::{
-    BatchScratch, Binding, GaussianHead, InferGaussianHead, InferStackedLstm, ParamStore,
-    StackedLstm,
-};
+use rpf_nn::{Binding, GaussianHead, ParamStore, StackedLstm};
 use rpf_tensor::Matrix;
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -67,6 +64,13 @@ fn lstm_fixture(seed: u64) -> (ParamStore, StackedLstm) {
     (store, stack)
 }
 
+/// Zero `(h, c)` per layer of [`lstm_fixture`]'s stack for a batch of `b`.
+fn zero_states(b: usize) -> Vec<(Matrix, Matrix)> {
+    (0..2)
+        .map(|_| (Matrix::zeros(b, HID_DIM), Matrix::zeros(b, HID_DIM)))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -79,13 +83,12 @@ proptest! {
         let tape = Tape::new();
         let bind = Binding::new(&tape, &store);
         let mut tape_states = stack.zero_state(&bind, b);
-        let inf = InferStackedLstm::from_store(&store, &stack);
-        let mut states = inf.zero_state(b);
-        let mut scratch = BatchScratch::new();
+        let mut states = zero_states(b);
+        let mut gates = Matrix::zeros(0, 0);
         for x in &xs {
             let (_, new_states) = stack.step(&bind, tape.leaf(x.clone()), &tape_states);
             tape_states = new_states;
-            inf.step(x, &mut states, &mut scratch);
+            stack.step_batched(&store, x, &mut states, &mut gates);
         }
         for (l, s) in tape_states.iter().enumerate() {
             assert_close(&states[l].0, &tape.value(s.h), BATCH_TOL)?;
@@ -102,13 +105,12 @@ proptest! {
         // A scratch buffer warmed at one batch size must not leak stale
         // values into a differently-sized call.
         let (store, stack) = lstm_fixture(seed);
-        let inf = InferStackedLstm::from_store(&store, &stack);
-        let mut scratch = BatchScratch::new();
-        inf.step(&a, &mut inf.zero_state(2), &mut scratch);
-        let mut warm = inf.zero_state(7);
-        inf.step(&b, &mut warm, &mut scratch);
-        let mut fresh = inf.zero_state(7);
-        inf.step(&b, &mut fresh, &mut BatchScratch::new());
+        let mut gates = Matrix::zeros(0, 0);
+        stack.step_batched(&store, &a, &mut zero_states(2), &mut gates);
+        let mut warm = zero_states(7);
+        stack.step_batched(&store, &b, &mut warm, &mut gates);
+        let mut fresh = zero_states(7);
+        stack.step_batched(&store, &b, &mut fresh, &mut Matrix::zeros(0, 0));
         for l in 0..fresh.len() {
             assert_bits(&warm[l].0, &fresh[l].0)?;
             assert_bits(&warm[l].1, &fresh[l].1)?;
@@ -124,9 +126,8 @@ proptest! {
         let bind = Binding::new(&tape, &store);
         let p = head.forward(&bind, tape.leaf(h.clone()));
         let (mu, sigma) = (tape.value(p.mu), tape.value(p.sigma));
-        let inf = InferGaussianHead::from_store(&store, &head);
         let (mut mu_b, mut sigma_b) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        inf.forward_batch(&h, &mut mu_b, &mut sigma_b);
+        head.forward_batched(&store, &h, &mut mu_b, &mut sigma_b);
         assert_close(&mu_b, &mu, BATCH_TOL)?;
         assert_close(&sigma_b, &sigma, BATCH_TOL)?;
         // Sigma keeps the head's positivity floor through the batched path.
@@ -143,18 +144,17 @@ proptest! {
         // The serving fold depends on this: a row's bits may not change
         // when it is decoded alone vs inside a larger lock-step batch.
         let (store, stack) = lstm_fixture(seed);
-        let inf = InferStackedLstm::from_store(&store, &stack);
-        let mut full = inf.zero_state(b);
-        let mut scratch = BatchScratch::new();
+        let mut full = zero_states(b);
+        let mut gates = Matrix::zeros(0, 0);
         for x in &xs {
-            inf.step(x, &mut full, &mut scratch);
+            stack.step_batched(&store, x, &mut full, &mut gates);
         }
         for r in 0..b {
-            let mut solo = inf.zero_state(1);
-            let mut solo_scratch = BatchScratch::new();
+            let mut solo = zero_states(1);
+            let mut solo_gates = Matrix::zeros(0, 0);
             for x in &xs {
                 let xr = Matrix::from_vec(1, IN_DIM, x.row(r).to_vec());
-                inf.step(&xr, &mut solo, &mut solo_scratch);
+                stack.step_batched(&store, &xr, &mut solo, &mut solo_gates);
             }
             for l in 0..full.len() {
                 for (got, want) in solo[l].0.row(0).iter().zip(full[l].0.row(r)) {
@@ -174,11 +174,9 @@ proptest! {
 #[test]
 fn batched_runs_are_bit_deterministic_for_fixed_layout() {
     let (store, stack) = lstm_fixture(7);
-    let inf = InferStackedLstm::from_store(&store, &stack);
     let mut head_store = ParamStore::new();
     let mut rng = StdRng::seed_from_u64(11);
     let head = GaussianHead::new(&mut head_store, &mut rng, "g", HID_DIM);
-    let inf_head = InferGaussianHead::from_store(&head_store, &head);
 
     let xs: Vec<Matrix> = (0..STEPS)
         .map(|s| {
@@ -193,13 +191,13 @@ fn batched_runs_are_bit_deterministic_for_fixed_layout() {
         .collect();
 
     let run = || {
-        let mut states = inf.zero_state(100);
-        let mut scratch = BatchScratch::new();
+        let mut states = zero_states(100);
+        let mut gates = Matrix::zeros(0, 0);
         for x in &xs {
-            inf.step(x, &mut states, &mut scratch);
+            stack.step_batched(&store, x, &mut states, &mut gates);
         }
         let (mut mu, mut sigma) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        inf_head.forward_batch(&states[1].0, &mut mu, &mut sigma);
+        head.forward_batched(&head_store, &states[1].0, &mut mu, &mut sigma);
         (states, mu, sigma)
     };
     let (s1, mu1, sig1) = run();

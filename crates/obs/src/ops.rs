@@ -8,8 +8,8 @@
 //! no clock read, and the bench gate in `rpf-bench` pins that it adds <1%
 //! to the decode benchmark.
 //!
-//! Attribution is by *class*, not call site. A fused LSTM gate kernel is
-//! one `LstmGatesFused` entry; the gaussian output head installs a
+//! Attribution is by *class*, not call site. A tile-fused LSTM step is
+//! one `MatmulBatched` entry; the gaussian output head installs a
 //! [`class_scope`] so the matmuls and softplus it issues are attributed to
 //! `GaussianHead` instead of their raw kernel classes — classes partition
 //! time, nothing is double-counted.
@@ -22,15 +22,18 @@ use std::time::Instant;
 /// breakdown (matmul, fused LSTM gates/state, output head, scalar ops).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpClass {
-    /// Preallocated-output GEMM — the decode hot path.
+    /// Preallocated-output GEMM. No kernel records here; the class stays
+    /// because the benchmark's per-layer table names it.
     MatmulInto,
     /// FMA-contracted lock-step GEMM (batched decode backend).
     MatmulBatched,
     /// Allocating GEMM variants (training path).
     Matmul,
-    /// Fused LSTM gate bias+activation kernel.
+    /// Stand-alone LSTM gate bias+activation sweep. No producer: serving
+    /// runs the tile-fused step, recorded as `MatmulBatched`.
     LstmGatesFused,
-    /// Fused LSTM cell/hidden state update.
+    /// Stand-alone LSTM cell/hidden state update. No producer, as above;
+    /// both LSTM classes stay for the same reason as `MatmulInto`.
     LstmStateUpdate,
     /// Gaussian output head (mu/sigma projections + softplus + floor).
     GaussianHead,

@@ -27,10 +27,13 @@
 //!   into one pass over the hidden block (two interleaved FMA dot products
 //!   per row) instead of two `n == 1` GEMVs.
 //!
-//! GEMM time is attributed to the `matmul_batched` operator class; the
-//! stand-alone gate/state sweeps report under the `lstm_gates_fused` /
-//! `lstm_state_update` classes, which serving leaves empty (it runs the
-//! tile-fused step, recorded as `matmul_batched`).
+//! Every kernel here records under the `matmul_batched` operator class,
+//! including the tile-fused LSTM step ([`lstm_step_fused_batched`]) with
+//! its activation and state arithmetic. The `lstm_gates_fused` /
+//! `lstm_state_update` classes have no producer and read 0. The unfused
+//! three-kernel pipeline (paired GEMM, gate sweep, state sweep) exists only
+//! in this file's test module, as the reference the fused step is pinned
+//! bit-identical against.
 
 use crate::matrix::Matrix;
 use rpf_obs::ops::{self, OpClass};
@@ -281,93 +284,6 @@ pub fn matmul_fma_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     ops::record(OpClass::MatmulBatched, flops, bytes, started);
 }
 
-/// `out = A1·B1 + A2·B2` in one register-tiled pass: the second product
-/// accumulates into the same slabs as the first, so `out` is written
-/// exactly once. This is the LSTM pre-activation `gates = x·Wˣ + h·Wʰ` as a
-/// stand-alone kernel; serving runs the same row kernels inside
-/// [`lstm_step_fused_batched`], and this kernel, followed by
-/// [`lstm_gates_fused_batched`] and [`lstm_state_update_batched`], is the
-/// unfused pipeline the fused step is pinned bit-identical against.
-///
-/// Per output element the accumulation order is fixed (all of `B1`'s inner
-/// dimension ascending, then all of `B2`'s), each row depends only on its
-/// own rows of A1/A2 and the weights, and there is no data-dependent
-/// branching — the row-independence and fixed-layout bit-determinism
-/// contracts hold as for the single-product kernels. Panics on any
-/// dimension mismatch.
-pub fn matmul_fma2_into(a1: &Matrix, b1: &Matrix, a2: &Matrix, b2: &Matrix, out: &mut Matrix) {
-    assert_eq!(
-        a1.cols(),
-        b1.rows(),
-        "matmul_fma2_into: first inner dimensions differ ({:?} x {:?})",
-        a1.shape(),
-        b1.shape()
-    );
-    assert_eq!(
-        a2.cols(),
-        b2.rows(),
-        "matmul_fma2_into: second inner dimensions differ ({:?} x {:?})",
-        a2.shape(),
-        b2.shape()
-    );
-    assert_eq!(
-        a1.rows(),
-        a2.rows(),
-        "matmul_fma2_into: row counts differ ({:?} vs {:?})",
-        a1.shape(),
-        a2.shape()
-    );
-    assert_eq!(
-        b1.cols(),
-        b2.cols(),
-        "matmul_fma2_into: output widths differ ({:?} vs {:?})",
-        b1.shape(),
-        b2.shape()
-    );
-    let started = ops::start();
-    let m = a1.rows();
-    let (k1, k2) = (a1.cols(), a2.cols());
-    let n = b1.cols();
-    out.reset_for_overwrite(m, n);
-    {
-        let a1_data = a1.as_slice();
-        let a2_data = a2.as_slice();
-        let b1_data = b1.as_slice();
-        let b2_data = b2.as_slice();
-        let mut li = 0;
-        let mut rest = out.as_mut_slice();
-        let row1 = |r: usize| &a1_data[r * k1..(r + 1) * k1];
-        let row2 = |r: usize| &a2_data[r * k2..(r + 1) * k2];
-        while li + 4 <= m {
-            let (quad, r) = rest.split_at_mut(4 * n);
-            rest = r;
-            let (c0, q) = quad.split_at_mut(n);
-            let (c1, q) = q.split_at_mut(n);
-            let (c2, c3) = q.split_at_mut(n);
-            fma_rows4_pair(
-                [row1(li), row1(li + 1), row1(li + 2), row1(li + 3)],
-                b1_data,
-                k1,
-                [row2(li), row2(li + 1), row2(li + 2), row2(li + 3)],
-                b2_data,
-                k2,
-                [c0, c1, c2, c3],
-                n,
-            );
-            li += 4;
-        }
-        while li < m {
-            let (c_row, r) = rest.split_at_mut(n);
-            rest = r;
-            fma_rows1_pair(row1(li), b1_data, k1, row2(li), b2_data, k2, c_row, n);
-            li += 1;
-        }
-    }
-    let flops = 2 * (m as u64) * (n as u64) * ((k1 + k2) as u64);
-    let bytes = 4 * ((m * (k1 + k2)) as u64 + ((k1 + k2) * n) as u64 + (m * n) as u64);
-    ops::record(OpClass::MatmulBatched, flops, bytes, started);
-}
-
 /// Rational-polynomial `tanh` (the classic 13/6-degree float fit, clamped
 /// to ±9 where `tanh` saturates in f32): branch-free, so it vectorizes in
 /// a loop where libm's `tanh` stays scalar. Max error vs libm is a few
@@ -409,9 +325,8 @@ pub fn fast_sigmoid(x: f32) -> f32 {
 
 /// One gate row `[i f g o]` activated in place: `v = act(v + bias)` with
 /// sigmoid on the `i`/`f`/`o` blocks and tanh on `g`. Shared by the
-/// sweeping kernel ([`lstm_gates_fused_batched`]) and the tile-fused step
-/// ([`lstm_step_fused_batched`]) so both paths are bit-identical by
-/// construction. Three simple two-stream loops — an element-interleaved
+/// tile-fused step ([`lstm_step_fused_batched`]) and the test module's
+/// unfused gate sweep, so both paths are bit-identical by construction. Three simple two-stream loops — an element-interleaved
 /// formulation (six streams per iteration) was tried and measured ~40%
 /// slower because it defeats the auto-vectorizer.
 #[inline(always)]
@@ -430,8 +345,8 @@ fn activate_gate_row(row: &mut [f32], b_if: &[f32], b_g: &[f32], b_o: &[f32], hi
 }
 
 /// One row of the LSTM state recurrence: `c = f⊙c + i⊙g`, `h = o⊙tanh(c)`
-/// from an activated gate row. Shared by [`lstm_state_update_batched`] and
-/// [`lstm_step_fused_batched`] — see [`activate_gate_row`].
+/// from an activated gate row. Shared by [`lstm_step_fused_batched`] and
+/// the test module's unfused state update — see [`activate_gate_row`].
 #[inline(always)]
 fn state_update_row(g_row: &[f32], c_row: &mut [f32], h_row: &mut [f32], hidden: usize) {
     let (i_blk, rest) = g_row.split_at(hidden);
@@ -448,71 +363,6 @@ fn state_update_row(g_row: &[f32], c_row: &mut [f32], h_row: &mut [f32], hidden:
     }
 }
 
-/// LSTM gate activation sweep: `gates = act(gates + bias_row)` in one
-/// pass, gate layout `[i f g o]`, with [`fast_sigmoid`]/[`fast_tanh`] in
-/// place of the libm activations. The recurrent product is already folded
-/// into `gates` by the paired GEMM ([`matmul_fma2_into`]), so this sweep
-/// only broadcasts the bias and applies the activation polynomials.
-pub fn lstm_gates_fused_batched(gates: &mut Matrix, bias: &Matrix, hidden: usize) {
-    assert_eq!(
-        gates.cols(),
-        4 * hidden,
-        "lstm_gates_fused_batched: expected 4*hidden={} cols, got {}",
-        4 * hidden,
-        gates.cols()
-    );
-    assert_eq!(
-        bias.shape(),
-        (1, 4 * hidden),
-        "lstm_gates_fused_batched: bias shape {:?}",
-        bias.shape()
-    );
-    let started = ops::start();
-    let cols = gates.cols();
-    let b = bias.as_slice();
-    let (b_if, b_rest) = b.split_at(2 * hidden);
-    let (b_g, b_o) = b_rest.split_at(hidden);
-    for row in gates.as_mut_slice().chunks_mut(cols) {
-        activate_gate_row(row, b_if, b_g, b_o, hidden);
-    }
-    let n = gates.len() as u64;
-    // One bias add, then one activation (~10 flops) per element.
-    ops::record(OpClass::LstmGatesFused, 11 * n, 16 * n, started);
-}
-
-/// LSTM state update from activated gates:
-/// `c = f⊙c + i⊙g` then `h = o⊙tanh(c)` with [`fast_tanh`] and the inner
-/// add contracted to an FMA, vectorized over each row.
-pub fn lstm_state_update_batched(gates: &Matrix, c: &mut Matrix, h: &mut Matrix, hidden: usize) {
-    assert_eq!(
-        gates.cols(),
-        4 * hidden,
-        "lstm_state_update_batched: gate width"
-    );
-    assert_eq!(
-        c.shape(),
-        (gates.rows(), hidden),
-        "lstm_state_update_batched: c shape {:?}",
-        c.shape()
-    );
-    assert_eq!(
-        h.shape(),
-        (gates.rows(), hidden),
-        "lstm_state_update_batched: h shape {:?}",
-        h.shape()
-    );
-    let started = ops::start();
-    let gcols = gates.cols();
-    for (row_idx, g_row) in gates.as_slice().chunks(gcols).enumerate() {
-        let c_row = &mut c.as_mut_slice()[row_idx * hidden..(row_idx + 1) * hidden];
-        let h_row = &mut h.as_mut_slice()[row_idx * hidden..(row_idx + 1) * hidden];
-        state_update_row(g_row, c_row, h_row, hidden);
-    }
-    let n = (gates.rows() * hidden) as u64;
-    // Three muls, one add and one tanh (~10 flops) per state element.
-    ops::record(OpClass::LstmStateUpdate, 14 * n, 56 * n, started);
-}
-
 /// One whole batched LSTM layer-step, tile-fused: for each 4-row tile the
 /// paired GEMM (`x·Wˣ + h·Wʰ`), the gate activation, and the state
 /// recurrence run back-to-back on a tile-local gate buffer before the next
@@ -520,9 +370,9 @@ pub fn lstm_state_update_batched(gates: &Matrix, c: &mut Matrix, h: &mut Matrix,
 /// at decode batch sizes, and pure traffic — is never materialised:
 /// `tile_gates` holds only `4 × 4·hidden` floats, so pre-activations live
 /// their whole life in L1. Compared to the three-kernel pipeline
-/// ([`matmul_fma2_into`] → [`lstm_gates_fused_batched`] →
-/// [`lstm_state_update_batched`]) this removes three full passes over the
-/// gate block per layer-step; the arithmetic is the same code
+/// (`matmul_fma2_into` → `lstm_gates_fused_batched` →
+/// `lstm_state_update_batched`, kept as the test module's reference) this
+/// removes three full passes over the gate block per layer-step; the arithmetic is the same code
 /// ([`fma_rows4_pair`]/[`fma_rows1_pair`], [`activate_gate_row`],
 /// [`state_update_row`]) in the same order, so the results are
 /// bit-identical to the pipeline — the unit test below pins that.
@@ -533,9 +383,7 @@ pub fn lstm_state_update_batched(gates: &Matrix, c: &mut Matrix, h: &mut Matrix,
 /// weights regardless of batch size — the property the decode parity
 /// suite's fold-invariance tests rely on. Whole-call operator time is
 /// attributed to `matmul_batched` (the dominant phase) with the
-/// activation/state arithmetic included in its kernel split; the separate
-/// `lstm_gates_fused` / `lstm_state_update` classes stay empty on this
-/// path.
+/// activation/state arithmetic included in its kernel split.
 #[allow(clippy::too_many_arguments)]
 pub fn lstm_step_fused_batched(
     x: &Matrix,
@@ -724,6 +572,86 @@ pub fn dual_affine_into(
 mod tests {
     use super::*;
     use crate::matmul::matmul_naive;
+
+    // ---- unfused reference pipeline --------------------------------------
+    //
+    // `matmul_fma2_into` → `lstm_gates_fused_batched` →
+    // `lstm_state_update_batched` runs the same row kernels as
+    // [`lstm_step_fused_batched`] in three full passes over a materialised
+    // `[batch × 4·hidden]` gate block. No serving path calls it; it is the
+    // reference the tile-fused step is pinned bit-identical against.
+
+    /// `out = A1·B1 + A2·B2` in one register-tiled pass over
+    /// [`fma_rows4_pair`] / [`fma_rows1_pair`]: the LSTM pre-activation
+    /// `gates = x·Wˣ + h·Wʰ` as a stand-alone kernel.
+    fn matmul_fma2_into(a1: &Matrix, b1: &Matrix, a2: &Matrix, b2: &Matrix, out: &mut Matrix) {
+        assert_eq!(a1.cols(), b1.rows(), "first inner dimensions differ");
+        assert_eq!(a2.cols(), b2.rows(), "second inner dimensions differ");
+        assert_eq!(a1.rows(), a2.rows(), "row counts differ");
+        assert_eq!(b1.cols(), b2.cols(), "output widths differ");
+        let m = a1.rows();
+        let (k1, k2) = (a1.cols(), a2.cols());
+        let n = b1.cols();
+        out.reset_for_overwrite(m, n);
+        let a1_data = a1.as_slice();
+        let a2_data = a2.as_slice();
+        let b1_data = b1.as_slice();
+        let b2_data = b2.as_slice();
+        let mut li = 0;
+        let mut rest = out.as_mut_slice();
+        let row1 = |r: usize| &a1_data[r * k1..(r + 1) * k1];
+        let row2 = |r: usize| &a2_data[r * k2..(r + 1) * k2];
+        while li + 4 <= m {
+            let (quad, r) = rest.split_at_mut(4 * n);
+            rest = r;
+            let (c0, q) = quad.split_at_mut(n);
+            let (c1, q) = q.split_at_mut(n);
+            let (c2, c3) = q.split_at_mut(n);
+            fma_rows4_pair(
+                [row1(li), row1(li + 1), row1(li + 2), row1(li + 3)],
+                b1_data,
+                k1,
+                [row2(li), row2(li + 1), row2(li + 2), row2(li + 3)],
+                b2_data,
+                k2,
+                [c0, c1, c2, c3],
+                n,
+            );
+            li += 4;
+        }
+        while li < m {
+            let (c_row, r) = rest.split_at_mut(n);
+            rest = r;
+            fma_rows1_pair(row1(li), b1_data, k1, row2(li), b2_data, k2, c_row, n);
+            li += 1;
+        }
+    }
+
+    /// Gate activation sweep: `gates = act(gates + bias_row)` over the
+    /// whole block, gate layout `[i f g o]`.
+    fn lstm_gates_fused_batched(gates: &mut Matrix, bias: &Matrix, hidden: usize) {
+        assert_eq!(gates.cols(), 4 * hidden, "gate width");
+        assert_eq!(bias.shape(), (1, 4 * hidden), "bias shape");
+        let cols = gates.cols();
+        let (b_if, b_rest) = bias.as_slice().split_at(2 * hidden);
+        let (b_g, b_o) = b_rest.split_at(hidden);
+        for row in gates.as_mut_slice().chunks_mut(cols) {
+            activate_gate_row(row, b_if, b_g, b_o, hidden);
+        }
+    }
+
+    /// State update from activated gates: `c = f⊙c + i⊙g`, `h = o⊙tanh(c)`.
+    fn lstm_state_update_batched(gates: &Matrix, c: &mut Matrix, h: &mut Matrix, hidden: usize) {
+        assert_eq!(gates.cols(), 4 * hidden, "gate width");
+        assert_eq!(c.shape(), (gates.rows(), hidden), "c shape");
+        assert_eq!(h.shape(), (gates.rows(), hidden), "h shape");
+        let gcols = gates.cols();
+        for (row_idx, g_row) in gates.as_slice().chunks(gcols).enumerate() {
+            let c_row = &mut c.as_mut_slice()[row_idx * hidden..(row_idx + 1) * hidden];
+            let h_row = &mut h.as_mut_slice()[row_idx * hidden..(row_idx + 1) * hidden];
+            state_update_row(g_row, c_row, h_row, hidden);
+        }
+    }
 
     fn pseudo_random_matrix(rows: usize, cols: usize, seed: u32) -> Matrix {
         let mut state = seed.wrapping_mul(2654435761).wrapping_add(1);

@@ -27,7 +27,7 @@ echo "== tape GEMM parity (matmul/matmul_at/matmul_bt bitwise to the reference l
 cargo test -q -p rpf-tensor --test proptests --offline
 cargo test -q -p rpf-nn --test gradient_bits --offline
 
-echo "== backend parity (batched LSTM step and forward_batch within tolerance of the tape, bit-deterministic, row-independent) =="
+echo "== backend parity (StackedLstm::step_batched and GaussianHead::forward_batched within tolerance of the tape, bit-deterministic, row-independent) =="
 cargo test -q -p rpf-nn --test infer_parity --offline
 
 echo "== decode parity (batched vs tape within tolerance, bit-deterministic) =="
