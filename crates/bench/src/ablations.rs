@@ -305,7 +305,8 @@ fn coverage_and_crps(
 /// `engine` target: run the deterministic forecast engine down the repro
 /// path — a batched multi-origin sweep at several thread counts, checking
 /// bitwise sample identity between settings and reporting the per-phase
-/// timing split that the criterion bench measures in isolation. A second
+/// timing split (`perfbench race_replay` times the same engine under
+/// serving load). A second
 /// pass over the same batch shows the encoder-cache amortisation.
 pub fn engine_report(profile: &Profile) {
     use ranknet_core::engine::{ForecastEngine, ForecastRequest};

@@ -16,7 +16,7 @@
 //!
 //! Besides the ASCII table, every cell is emitted as a machine-parseable
 //! stdout line — `scenario <family> model=<name> sign_acc=<v> mae=<v>
-//! n=<v>` — which `scripts/bench_snapshot.sh scenarios` turns into
+//! n=<v>` — which `scripts/scenario_snapshot.sh` turns into
 //! `BENCH_<date>_scenarios.json`.
 
 use crate::ascii;

@@ -13,7 +13,7 @@
 //! (1.8×, 2.0×) scaled by the tape/per-row time ratio measured just before
 //! it was deleted, with this file's harness (1.86× and 2.71×: medians of
 //! 30 processes on a 2-CPU VM) — the same bar re-based onto the tape. The
-//! criterion `decode_backend` group quantifies the full margin.
+//! serving decode's own speed is `perfbench`'s `engine.decode_ms_per_call`.
 
 use ranknet_core::features::extract_sequences;
 use ranknet_core::instances::TrainingSet;

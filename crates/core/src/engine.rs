@@ -731,12 +731,6 @@ impl ForecastEngine {
         &self.tracer
     }
 
-    /// The engine's metrics registry, for callers that want to scrape it
-    /// directly or register adjacent metrics under the same snapshot.
-    pub fn obs_registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// Mergeable snapshot of the engine's counters plus span totals —
     /// combine with serving and training snapshots via
     /// [`MetricsSnapshot::merge`] for one exposition.

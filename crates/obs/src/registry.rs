@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 
 /// Shards per counter. More shards cost memory (one cache line each);
 /// fewer cost contention. Eight covers the worker counts this workspace
-/// actually runs (serve defaults to 2–4 workers, benches go to 8).
+/// actually runs (serve defaults to 2–4 workers).
 const COUNTER_SHARDS: usize = 8;
 
 /// One cache line per shard so two threads' increments never false-share.

@@ -61,10 +61,6 @@ impl SpanRecord {
     pub fn duration_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
     }
-
-    pub fn name_str(&self) -> &'static str {
-        resolve(self.name)
-    }
 }
 
 #[derive(Default)]

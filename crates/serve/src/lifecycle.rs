@@ -145,11 +145,6 @@ impl LifecycleController {
         self.active.store(true, Ordering::Release);
     }
 
-    /// Version currently under shadow evaluation.
-    pub fn candidate_version(&self) -> Option<u64> {
-        self.lock_state().as_ref().map(|c| c.version)
-    }
-
     /// Every decision taken so far, in order.
     pub fn decisions(&self) -> Vec<CandidateDecision> {
         self.lock_decisions().clone()

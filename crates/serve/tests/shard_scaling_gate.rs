@@ -5,8 +5,8 @@
 //! The gate runs on the deterministic virtual clock (`replay_sharded`), not
 //! wall time, so it is machine-independent: the same script produces the
 //! same per-shard schedules and the same throughput ratio on a laptop, a
-//! loaded CI box, or a single-core container. The real-thread counterpart
-//! lives in the bench harness (`bench_snapshot.sh shards`).
+//! loaded CI box, or a single-core container. No wall-clock counterpart is
+//! kept: `perfbench` times one-shard serving only.
 
 use rpf_nn::RngStreams;
 use rpf_serve::loadgen::{self, MultiRaceMix};

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Robustness gate: production code in the core, nn, serve, gateway, obs and
-# tensor crates must not call `.unwrap()` / `.expect(` — failures there have typed
+# tensor crates, and the autodiff tape (crates/autodiff/src/tape.rs), must
+# not call `.unwrap()` / `.expect(` — failures there have typed
 # error paths (TrainError, EngineError, ServeError, LifecycleError, HttpError,
 # Result-returning persist), and the serving scheduler, the gateway's
 # connection queue / lap bus and the obs registry recover poisoned locks
@@ -44,13 +45,16 @@ while IFS= read -r f; do
 # capacity planner, which feeds production fleet-sizing decisions.
 # racesim is mostly pre-serving data generation and exempt, except the
 # scenario engine, whose configs are a public API fed by benchmarks and the
-# serving workload generators.
+# serving workload generators. Of the autodiff crate only the tape is
+# covered: PitModel covariates and Transformer forecasts run on it in
+# serving. Its lib.rs doc example and the gradcheck test helper are exempt.
 done < <(find crates/core/src crates/nn/src crates/serve/src crates/obs/src \
   crates/gateway/src crates/racesim/src/scenario \
-  crates/tensor/src crates/perfmodel/src/capacity.rs -name '*.rs' | sort)
+  crates/tensor/src crates/perfmodel/src/capacity.rs \
+  crates/autodiff/src/tape.rs -name '*.rs' | sort)
 
 if [ "$fail" -ne 0 ]; then
-  echo "error: .unwrap()/.expect( in non-test core/nn/serve/obs/tensor code (use a typed error path)" >&2
+  echo "error: .unwrap()/.expect( in non-test core/nn/serve/obs/tensor/tape code (use a typed error path)" >&2
   exit 1
 fi
 echo "no-unwrap gate clean."

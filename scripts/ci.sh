@@ -14,7 +14,7 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, -D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== no-unwrap gate (core/nn/serve/gateway/obs/tensor + capacity planner non-test code) =="
+echo "== no-unwrap gate (core/nn/serve/gateway/obs/tensor + autodiff tape + capacity planner non-test code) =="
 bash scripts/check_no_unwrap.sh
 
 echo "== one parallel fan-out (no crossbeam:: call outside crates/vendor; use rpf_tensor::par or std::thread::scope) =="
