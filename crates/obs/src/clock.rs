@@ -3,8 +3,10 @@
 //! Everything in this crate that reads time does so through the [`Clock`]
 //! trait, for one reason: wall-clock output can never be golden-tested. A
 //! [`VirtualClock`] advanced by the test itself makes span durations and
-//! latency buckets an exact function of the script — the same trick the
-//! serving layer's `replay` module uses for its scheduler golden test.
+//! latency buckets an exact function of the script. The serving layer's
+//! scheduler core works the same way: it takes every instant as an
+//! argument, a [`WallClock`] reading when serving and a virtual instant
+//! in its golden-tested replay.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

@@ -7,7 +7,8 @@
 //!   [`merge`](MetricsSnapshot::merge) into one view.
 //! * [`span`] — start/stop span tracing with interned names and
 //!   per-thread-shard ring buffers, on an injectable [`Clock`] so test
-//!   output is deterministic (virtual clock, as in `serve::replay`).
+//!   output is deterministic (a virtual clock, as the serving scheduler's
+//!   replay feeds it virtual instants).
 //! * [`ops`] — operator-level kernel profiling (calls / FLOPs / bytes /
 //!   nanos per kernel class), off by default with a provably-near-zero
 //!   disabled path, reproducing the paper's operator-breakdown table.

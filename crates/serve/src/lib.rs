@@ -13,17 +13,21 @@
 //!   batch open at most [`ServeConfig::max_delay`]; identical requests in
 //!   a batch share one model run (the engine's coalescing batch-entry
 //!   API).
-//! * **Deadlines** — a request queued past its deadline degrades to the
-//!   CurRank persistence fallback, flagged, instead of blocking its
-//!   caller.
+//! * **Deadlines** — a request whose deadline has passed when its batch
+//!   forms degrades to the CurRank persistence fallback, flagged, instead
+//!   of blocking its caller.
 //! * **Determinism** — every response is bit-identical to a direct
 //!   `try_forecast_keyed` call, regardless of batch placement, worker
 //!   count, or arrival order; the engine keys its RNG streams on request
 //!   identity, and the scheduler never re-keys anything.
+//! * **One scheduler core** — admission, the batching decision, batch
+//!   formation and the deadline split live in one single-threaded type
+//!   that takes every instant as an argument; each shard's threads hold
+//!   it behind their mailbox lock on the wall clock.
 //! * **Verification harness** — deterministic load generation
-//!   ([`loadgen`]), a virtual-clock scheduler replay for golden metrics
-//!   ([`replay`]), and (behind `fault-inject`) planned scheduler faults
-//!   ([`fault`]).
+//!   ([`loadgen`]), a virtual-clock [`replay`] that drives the same
+//!   scheduler core for golden metrics, and (behind `fault-inject`)
+//!   planned scheduler faults ([`fault`]).
 //! * **One region, race-sharded** — every entry point runs the same
 //!   region (DESIGN.md §15): a set of shards, each an actor with its own
 //!   engine, model slot and encoder cache behind a bounded mailbox and a
@@ -54,9 +58,9 @@ pub mod lifecycle;
 pub mod loadgen;
 pub(crate) mod mailbox;
 pub mod metrics;
-pub(crate) mod policy;
 pub mod replay;
 pub mod router;
+pub(crate) mod scheduler;
 pub mod server;
 pub(crate) mod shard;
 pub(crate) mod supervisor;
@@ -69,8 +73,7 @@ pub use metrics::{
     MetricsSnapshot, ShardedSnapshot, BATCH_EDGES, DIVERGENCE_EDGES_MILLI, LATENCY_EDGES_NS,
 };
 pub use replay::{
-    percentile_ns, replay, replay_sharded, replay_with_events, ReplayEvent, ServiceModel,
-    ShardedReplay,
+    replay, replay_sharded, replay_with_events, ReplayEvent, ServiceModel, ShardedReplay,
 };
 pub use router::{serve_sharded, shard_of, ServeClient};
 pub use server::{

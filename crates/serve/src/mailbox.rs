@@ -1,22 +1,26 @@
-//! The bounded mailbox: admission queue + one-shot response slots.
+//! The bounded mailbox: a shard's scheduler core behind a mutex and a
+//! condvar on the wall clock, plus the one-shot response slots.
 //!
 //! Every race shard owns one: a shard actor is a [`Mailbox`] plus worker
 //! threads plus a supervisor, and the flat `serve()` region is the
-//! one-shard case. Admission is all-or-nothing — a submission either
-//! enters the queue (and will be answered, because workers drain on
-//! shutdown and supervisors fallback-drain on failure) or is refused with
-//! a typed [`SubmitError`] before any state changes.
+//! one-shard case. Admission, batching and deadlines are the
+//! [`Scheduler`]'s, the same code the virtual-clock replay runs.
+//! Admission is all-or-nothing — a submission either enters the queue
+//! (and will be answered, because workers drain on shutdown and
+//! supervisors fallback-drain on failure) or is refused with a typed
+//! [`SubmitError`] before any state changes.
 //!
 //! Queue state is plain data with no invariants a panicking holder could
 //! break mid-update, so every lock here recovers a poisoned guard
 //! (`into_inner`) instead of propagating — one crashed worker must not
 //! wedge admission for the region.
 
+use crate::config::ServeConfig;
 use crate::metrics::ServeMetrics;
+use crate::scheduler::{Entry, Scheduler};
 use crate::server::{ServeRequest, ServeResult, SubmitError};
-use std::collections::VecDeque;
+use rpf_obs::{Clock, WallClock};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
 
 /// One-shot response slot a worker fills and a caller waits on.
 pub(crate) struct Slot {
@@ -63,27 +67,16 @@ impl Pending {
     }
 }
 
-/// A queued admission.
-pub(crate) struct Entry {
-    pub(crate) id: u64,
-    pub(crate) req: ServeRequest,
-    pub(crate) enqueued: Instant,
-    pub(crate) slot: Arc<Slot>,
-}
+/// A queued admission on the threaded path: its answer goes to a slot.
+pub(crate) type Queued = Entry<Arc<Slot>>;
 
-pub(crate) struct MailboxState {
-    pub(crate) entries: VecDeque<Entry>,
-    pub(crate) shutdown: bool,
-    next_id: u64,
-}
-
-/// Bounded MPSC admission queue for one race shard. Capacity overflow
-/// maps to [`SubmitError::QueueFull`] — the shard-level backpressure
-/// signal.
+/// Bounded MPSC admission queue for one race shard, with the clock every
+/// admission, dispatch and response is stamped on. Capacity overflow maps
+/// to [`SubmitError::QueueFull`] — the shard-level backpressure signal.
 pub(crate) struct Mailbox {
-    state: Mutex<MailboxState>,
+    core: Mutex<Scheduler<Arc<Slot>>>,
     pub(crate) wakeup: Condvar,
-    capacity: usize,
+    pub(crate) clock: WallClock,
 }
 
 /// Closes its mailbox on drop; see [`Mailbox::close_on_drop`].
@@ -96,65 +89,42 @@ impl Drop for CloseOnDrop<'_> {
 }
 
 impl Mailbox {
-    pub(crate) fn new(capacity: usize) -> Mailbox {
+    pub(crate) fn new(cfg: ServeConfig) -> Mailbox {
         Mailbox {
-            state: Mutex::new(MailboxState {
-                entries: VecDeque::new(),
-                shutdown: false,
-                next_id: 0,
-            }),
+            core: Mutex::new(Scheduler::new(cfg)),
             wakeup: Condvar::new(),
-            capacity,
+            clock: WallClock::new(),
         }
     }
 
     /// Queue state is plain data; recover a poisoned guard instead of
     /// propagating — one crashed lock-holder must not wedge the region.
-    pub(crate) fn lock(&self) -> MutexGuard<'_, MailboxState> {
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Scheduler<Arc<Slot>>> {
+        self.core.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Full admission: record the attempt, enforce shutdown and capacity,
-    /// enqueue, wake one worker. All-or-nothing — `Err` means the request
-    /// never entered the queue.
+    /// Admit `req` through the core (stamped under the lock, so queue
+    /// order is stamp order) and wake one worker. All-or-nothing — `Err`
+    /// means the request never entered the queue.
     pub(crate) fn submit(
         &self,
         req: ServeRequest,
         metrics: &ServeMetrics,
     ) -> Result<Pending, SubmitError> {
-        metrics.record_submitted();
-        let mut q = self.lock();
-        if q.shutdown {
-            metrics.record_rejected_shutdown();
-            return Err(SubmitError::ShuttingDown);
-        }
-        if q.entries.len() >= self.capacity {
-            metrics.record_rejected_full();
-            return Err(SubmitError::QueueFull {
-                capacity: self.capacity,
-            });
-        }
-        q.next_id += 1;
-        let id = q.next_id;
         let slot = Arc::new(Slot {
             state: Mutex::new(None),
             ready: Condvar::new(),
         });
-        q.entries.push_back(Entry {
-            id,
-            req,
-            enqueued: Instant::now(),
-            slot: Arc::clone(&slot),
-        });
-        metrics.record_accepted(q.entries.len() as u64);
-        drop(q);
+        let id = self
+            .lock()
+            .admit(req, Arc::clone(&slot), self.clock.now_ns(), metrics)?;
         self.wakeup.notify_one();
         Ok(Pending { id, slot })
     }
 
     /// Close admission and wake every worker for the shutdown drain.
     pub(crate) fn close(&self) {
-        self.lock().shutdown = true;
+        self.lock().close();
         self.wakeup.notify_all();
     }
 
@@ -165,11 +135,5 @@ impl Mailbox {
     /// the panic into a deadlock.
     pub(crate) fn close_on_drop(&self) -> CloseOnDrop<'_> {
         CloseOnDrop(self)
-    }
-
-    /// Take every queued entry at once — the supervisor's containment
-    /// drain when a shard worker dies with a backlog behind it.
-    pub(crate) fn drain_all(&self) -> Vec<Entry> {
-        self.lock().entries.drain(..).collect()
     }
 }

@@ -1,26 +1,27 @@
 //! Deterministic scheduler replay on a virtual clock.
 //!
 //! Wall-clock latency histograms can never be golden-tested — the numbers
-//! move with the machine. This module replays a scripted arrival schedule
-//! through the threaded scheduler's own batching and deadline policy
-//! (`policy.rs`, called by `server.rs` too) and the same bounded
-//! admission, but on a virtual nanosecond clock with a fixed service-time
-//! model and a single virtual worker. Every counter in
-//! the resulting [`MetricsSnapshot`] — latency buckets, queue-depth
-//! high-water mark, rejection and fallback tallies — is then an exact,
-//! machine-independent function of the script, which is what the checked-in
-//! golden snapshot pins.
+//! move with the machine. This module is a discrete-event loop over the
+//! serving shard's own scheduler core (`scheduler.rs`): the same
+//! admission, batching decision, deadline split and metric recording the
+//! threaded workers run, fed virtual nanosecond instants instead of
+//! wall-clock readings. The loop owns no queue. It admits each scripted
+//! arrival at its instant, closes the core once the script is exhausted,
+//! forms a batch whenever the core says so at the instant a single
+//! virtual worker is free, and answers it on a fixed [`ServiceModel`].
+//! Every counter in the resulting [`MetricsSnapshot`] — latency buckets,
+//! queue-depth high-water mark, rejection and fallback tallies — is then
+//! an exact, machine-independent function of the script, which is what
+//! the checked-in golden snapshot pins.
 //!
 //! Tie-break rule: an arrival scheduled at exactly a dispatch instant is
-//! ingested *before* the batch forms (it can join the batch). This makes
+//! admitted *before* the batch forms (it can join the batch). This makes
 //! simultaneous events deterministic.
 
 use crate::config::ServeConfig;
 use crate::metrics::{MetricsSnapshot, ResponseKind, ServeMetrics, ShardedSnapshot};
-use crate::policy::{self, deadline_expired, Step};
+use crate::scheduler::{Scheduler, Step};
 use crate::server::ServeRequest;
-use std::collections::VecDeque;
-use std::time::Duration;
 
 /// Fixed virtual cost of serving a batch: `batch_overhead_ns` once per
 /// dispatch plus `per_request_ns` per live (non-expired) request.
@@ -28,6 +29,18 @@ use std::time::Duration;
 pub struct ServiceModel {
     pub batch_overhead_ns: u64,
     pub per_request_ns: u64,
+}
+
+impl ServiceModel {
+    /// When a batch that starts at `start_ns` with `live` requests to
+    /// serve completes (at once when every request had expired).
+    fn completion_ns(&self, start_ns: u64, live: usize) -> u64 {
+        if live == 0 {
+            start_ns
+        } else {
+            start_ns + self.batch_overhead_ns + self.per_request_ns * live as u64
+        }
+    }
 }
 
 /// A scripted lifecycle event on the replay's virtual timeline. Events
@@ -65,27 +78,20 @@ pub fn replay_with_events(
     events: &[(u64, ReplayEvent)],
     svc: &ServiceModel,
 ) -> MetricsSnapshot {
-    replay_core(cfg, schedule, events, svc).snapshot
+    replay_core(cfg, schedule, events, svc).0
 }
 
-/// Everything one virtual region's replay produced: the golden-testable
-/// snapshot plus the exact response latencies and the virtual makespan —
-/// the raw material the capacity planner validates against.
-pub(crate) struct ReplayOutcome {
-    pub(crate) snapshot: MetricsSnapshot,
-    /// Every response's latency, in completion order (fallbacks included —
-    /// a deadline fallback is still an answer the caller waited for).
-    pub(crate) latencies_ns: Vec<u64>,
-    /// Instant the last work finished (or the last arrival, if later).
-    pub(crate) t_end_ns: u64,
-}
-
+/// Replay one virtual region. Returns its golden-testable snapshot, every
+/// response's latency in completion order (a deadline fallback included:
+/// it is still an answer the caller waited for), and the instant its last
+/// work finished (or its last arrival, if later) — the raw material the
+/// capacity planner validates against.
 fn replay_core(
     cfg: &ServeConfig,
     schedule: &[(u64, ServeRequest)],
     events: &[(u64, ReplayEvent)],
     svc: &ServiceModel,
-) -> ReplayOutcome {
+) -> (MetricsSnapshot, Vec<u64>, u64) {
     let cfg = cfg.normalized();
     let metrics = ServeMetrics::new();
 
@@ -94,26 +100,22 @@ fn replay_core(
     let mut lifecycle: Vec<(u64, ReplayEvent)> = events.to_vec();
     lifecycle.sort_by_key(|(t, _)| *t);
 
-    let mut queue: VecDeque<(u64, ServeRequest)> = VecDeque::new();
-    let mut next = 0usize; // index of the next un-ingested arrival
+    let mut core: Scheduler<()> = Scheduler::new(cfg);
+    let mut next = 0usize; // index of the next unadmitted arrival
     let mut next_event = 0usize; // index of the next unapplied event
     let mut now = 0u64; // instant of the last arrival, hold expiry or dispatch
     let mut t_free = 0u64; // virtual worker is idle from this instant
     let mut latencies: Vec<u64> = Vec::with_capacity(arrivals.len());
-    let mut t_end = arrivals.last().map_or(0, |(t, _)| *t);
 
     loop {
-        // The worker consults the scheduler's own policy at the first
-        // instant it is free; "closed" is the exhausted script, exactly
-        // as closed admission is for the threaded worker.
+        // The exhausted script closes admission, exactly as the end of a
+        // serving region's body does for the threaded workers.
+        if next == arrivals.len() {
+            core.close();
+        }
+        // The worker consults the core at the first instant it is free.
         let at = now.max(t_free);
-        let waited = queue.front().map_or(0, |&(arrive, _)| at - arrive);
-        let step = policy::next_step(
-            &cfg,
-            queue.len(),
-            Duration::from_nanos(waited),
-            next >= arrivals.len(),
-        );
+        let step = core.next_step(at);
         let act_at = match step {
             Step::Dispatch(_) => Some(at),
             Step::Wait(hold) => Some(at + hold.as_nanos() as u64),
@@ -133,12 +135,24 @@ fn replay_core(
         }
 
         if let Some(ta) = next_arrival.filter(|&ta| act_at.is_none_or(|tw| ta <= tw)) {
-            ingest(&cfg, &metrics, &mut queue, &mut next, &arrivals);
+            // A refusal is already counted by the core; nothing else to do.
+            let _ = core.admit(arrivals[next].1, (), ta, &metrics);
+            next += 1;
             now = ta;
         } else if let Some(tw) = act_at {
             if let Step::Dispatch(n) = step {
-                t_free = dispatch(&metrics, &mut queue, n, svc, at, &mut latencies);
-                t_end = t_end.max(t_free);
+                let batch = core.form_batch(n, at, &metrics);
+                let done = svc.completion_ns(at, batch.live.len());
+                // Expired entries answer with the fallback as the batch
+                // forms; live ones when it completes.
+                let expired = (batch.expired.iter())
+                    .map(|e| (ResponseKind::FallbackDeadline, e.waited_ns(at)));
+                let live = (batch.live.iter()).map(|e| (ResponseKind::Ok, e.waited_ns(done)));
+                for (kind, latency_ns) in expired.chain(live) {
+                    metrics.record_response(kind, latency_ns);
+                    latencies.push(latency_ns);
+                }
+                t_free = done;
             }
             // Otherwise the hold expired with no arrival: decide again.
             now = tw;
@@ -146,11 +160,8 @@ fn replay_core(
             break;
         }
     }
-    ReplayOutcome {
-        snapshot: metrics.snapshot(),
-        latencies_ns: latencies,
-        t_end_ns: t_end,
-    }
+    let last_arrival = arrivals.last().map_or(0, |(t, _)| *t);
+    (metrics.snapshot(), latencies, t_free.max(last_arrival))
 }
 
 /// The outcome of [`replay_sharded`]: the same per-shard snapshot a live
@@ -189,7 +200,7 @@ impl ShardedReplay {
 
 /// Exact percentile over an ascending-sorted latency population
 /// (nearest-rank; 0 when empty).
-pub fn percentile_ns(sorted: &[u64], q: f64) -> u64 {
+fn percentile_ns(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
@@ -217,10 +228,10 @@ pub fn replay_sharded(
     let mut latencies = Vec::with_capacity(schedule.len());
     let mut makespan = 0u64;
     for part in &parts {
-        let out = replay_core(cfg, part, &[], svc);
-        per_shard.push(out.snapshot);
-        latencies.extend(out.latencies_ns);
-        makespan = makespan.max(out.t_end_ns);
+        let (snapshot, part_latencies, t_end) = replay_core(cfg, part, &[], svc);
+        per_shard.push(snapshot);
+        latencies.extend(part_latencies);
+        makespan = makespan.max(t_end);
     }
     latencies.sort_unstable();
     ShardedReplay {
@@ -245,61 +256,10 @@ fn apply_event(metrics: &ServeMetrics, ev: ReplayEvent) {
     }
 }
 
-fn ingest(
-    cfg: &ServeConfig,
-    metrics: &ServeMetrics,
-    queue: &mut VecDeque<(u64, ServeRequest)>,
-    next: &mut usize,
-    arrivals: &[(u64, ServeRequest)],
-) {
-    let (t, req) = arrivals[*next];
-    *next += 1;
-    metrics.record_submitted();
-    if queue.len() >= cfg.queue_capacity {
-        metrics.record_rejected_full();
-    } else {
-        queue.push_back((t, req));
-        metrics.record_accepted(queue.len() as u64);
-    }
-}
-
-/// Serve the `n` oldest queued requests as one batch starting at `start`;
-/// returns the instant the batch completes.
-fn dispatch(
-    metrics: &ServeMetrics,
-    queue: &mut VecDeque<(u64, ServeRequest)>,
-    n: usize,
-    svc: &ServiceModel,
-    start: u64,
-    latencies: &mut Vec<u64>,
-) -> u64 {
-    metrics.record_batch(n as u64);
-
-    let mut live: Vec<u64> = Vec::with_capacity(n);
-    for (arrive, req) in queue.drain(..n) {
-        let waited = Duration::from_nanos(start - arrive);
-        if deadline_expired(waited, req.deadline) {
-            metrics.record_response(ResponseKind::FallbackDeadline, start - arrive);
-            latencies.push(start - arrive);
-        } else {
-            live.push(arrive);
-        }
-    }
-    let completion = if live.is_empty() {
-        start
-    } else {
-        start + svc.batch_overhead_ns + svc.per_request_ns * live.len() as u64
-    };
-    for arrive in live {
-        metrics.record_response(ResponseKind::Ok, completion - arrive);
-        latencies.push(completion - arrive);
-    }
-    completion
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn req() -> ServeRequest {
         ServeRequest::new(0, 50, 2, 4)

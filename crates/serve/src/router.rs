@@ -79,7 +79,7 @@ impl<'s, 'a> ServeClient<'s, 'a> {
     /// answered; `QueueFull` means *that shard* is at capacity.
     pub fn submit(&self, req: ServeRequest) -> Result<Pending, SubmitError> {
         let shard = &self.shards[self.shard_of(&req)];
-        shard.shared.mailbox.submit(req, &shard.shared.metrics)
+        shard.mailbox.submit(req, &shard.metrics)
     }
 
     /// Submit and block until the response arrives.
@@ -93,7 +93,7 @@ impl<'s, 'a> ServeClient<'s, 'a> {
     pub fn slots(&self) -> Vec<Arc<ModelSlot>> {
         self.shards
             .iter()
-            .map(|s| Arc::clone(s.shared.engine.slot()))
+            .map(|s| Arc::clone(s.engine.slot()))
             .collect()
     }
 }
@@ -153,25 +153,24 @@ pub(crate) fn region<R>(
         }
         let closers: Vec<_> = shards
             .iter()
-            .map(|shard| shard.shared.mailbox.close_on_drop())
+            .map(|shard| shard.mailbox.close_on_drop())
             .collect();
         let out = body(ServeClient { shards: &shards });
         drop(closers);
         out
     });
     for shard in &shards {
-        let shared = &shard.shared;
-        match shared.lifecycle {
-            Some(lc) => lc.flush_into(&shared.metrics, shared.engine),
-            None => shared
+        match shard.lifecycle {
+            Some(lc) => lc.flush_into(&shard.metrics, shard.engine),
+            None => shard
                 .metrics
-                .set_model_version(shared.engine.model_version()),
+                .set_model_version(shard.engine.model_version()),
         }
     }
     (
         out,
         ShardedSnapshot {
-            per_shard: shards.iter().map(|s| s.shared.metrics.snapshot()).collect(),
+            per_shard: shards.iter().map(|s| s.metrics.snapshot()).collect(),
         },
     )
 }

@@ -1,7 +1,8 @@
-//! The scheduler: bounded admission, dynamic micro-batching, worker
-//! threads, per-request deadlines, and panic containment — what one shard
-//! runs. Every serving region, flat [`serve`] included, is a set of these
-//! shards behind the router (`router.rs`); `serve` is the one-shard case.
+//! The threaded shard: worker threads that take the batches the scheduler
+//! core (`scheduler.rs`) forms, the engine call, fallback delivery, and
+//! panic containment — what one shard runs. Every serving region, flat
+//! [`serve`] included, is a set of these shards behind the router
+//! (`router.rs`); `serve` is the one-shard case.
 //!
 //! # Determinism contract
 //!
@@ -21,10 +22,11 @@
 //!
 //! * **Queue full** — admission rejects with [`SubmitError::QueueFull`];
 //!   the queue never exceeds its configured depth.
-//! * **Deadline expiry** — a request still queued past its deadline is
-//!   answered with the CurRank persistence fallback, flagged
-//!   [`FallbackReason::DeadlineExpired`]; it never blocks the caller
-//!   further and never runs the model.
+//! * **Deadline expiry** — a request whose deadline has passed at the
+//!   instant its batch forms (judged by the scheduler core, the same
+//!   instant the replay uses) is answered with the CurRank persistence
+//!   fallback, flagged [`FallbackReason::DeadlineExpired`]; it never
+//!   blocks the caller further and never runs the model.
 //! * **Worker panic mid-batch** — the engine call runs under
 //!   `catch_unwind`; on a panic the batch is retried one request at a
 //!   time, so the poisoned request degrades to a flagged CurRank fallback
@@ -43,15 +45,18 @@
 
 use crate::config::{ServeConfig, ShardTopology};
 use crate::lifecycle::LifecycleController;
-use crate::mailbox::{Entry, Mailbox};
-use crate::metrics::{MetricsSnapshot, ResponseKind, ServeMetrics};
-use crate::policy::{self, deadline_expired, Step};
+use crate::mailbox::{Queued, Slot};
+use crate::metrics::{MetricsSnapshot, ResponseKind};
 use crate::router::{region, ServeClient};
+use crate::scheduler::{Batch, Step};
+use crate::shard::Shard;
 use ranknet_core::engine::{
     currank_forecast, EngineError, EngineForecast, ForecastEngine, ForecastRequest,
 };
 use ranknet_core::features::RaceContext;
+use rpf_obs::Clock;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A forecast query addressed to the serving layer. `race` indexes the
@@ -107,7 +112,7 @@ pub struct ServeResponse {
     pub forecast: EngineForecast,
     /// `Some` when the model never ran and the CurRank fallback answered.
     pub fallback: Option<FallbackReason>,
-    /// How many requests shared this response's engine batch.
+    /// How many requests shard this response's engine batch.
     pub batch_size: usize,
 }
 
@@ -154,43 +159,6 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// One shard's shared state (the flat region is shard 0 of one).
-pub(crate) struct Shared<'a> {
-    pub(crate) engine: &'a ForecastEngine,
-    pub(crate) contexts: &'a [&'a RaceContext],
-    pub(crate) cfg: ServeConfig,
-    pub(crate) mailbox: Mailbox,
-    pub(crate) metrics: ServeMetrics,
-    /// Shadow-evaluation / hot-swap controller, when serving under
-    /// [`serve_with_lifecycle`] (attached to shard 0 only).
-    pub(crate) lifecycle: Option<&'a LifecycleController>,
-    /// Shard index. Used only for fault targeting — never for scheduling
-    /// decisions, which is what keeps placement invisible in the output
-    /// bits.
-    #[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
-    pub(crate) shard: usize,
-}
-
-impl<'a> Shared<'a> {
-    pub(crate) fn new(
-        engine: &'a ForecastEngine,
-        contexts: &'a [&'a RaceContext],
-        cfg: ServeConfig,
-        lifecycle: Option<&'a LifecycleController>,
-        shard: usize,
-    ) -> Shared<'a> {
-        Shared {
-            engine,
-            contexts,
-            cfg,
-            mailbox: Mailbox::new(cfg.queue_capacity),
-            metrics: ServeMetrics::new(),
-            lifecycle,
-            shard,
-        }
-    }
-}
-
 /// Run a serving scope over `engine`: the one-shard case of
 /// [`crate::serve_sharded`], served on `engine` itself (so its timings,
 /// cache and model slot are the region's). Spawns the shard's supervisor
@@ -231,7 +199,7 @@ pub fn serve_with_lifecycle<R>(
 
 /// What a worker found when it asked the mailbox for work.
 pub(crate) enum NextStep {
-    Batch(Vec<Entry>),
+    Batch(Batch<Arc<Slot>>),
     Shutdown,
     /// An injected shard-kill fault targets this worker: the entries it
     /// was about to drain stay queued, and the worker must die *outside*
@@ -240,21 +208,21 @@ pub(crate) enum NextStep {
     Kill,
 }
 
-pub(crate) fn worker_loop(shared: &Shared<'_>) {
+pub(crate) fn worker_loop(shard: &Shard<'_>) {
     loop {
         // `next_batch` can only panic via an injected queue-lock fault (the
-        // fault-inject matrix); it mutates nothing before its final drain,
-        // so catching here loses no entries — the mutex is merely poisoned,
+        // fault-inject matrix); it mutates nothing before it forms the
+        // batch, so catching here loses no entries — the mutex is merely poisoned,
         // and the next lock recovers it.
-        let step = match catch_unwind(AssertUnwindSafe(|| next_batch(shared))) {
+        let step = match catch_unwind(AssertUnwindSafe(|| next_batch(shard))) {
             Ok(step) => step,
             Err(_) => {
-                shared.metrics.record_queue_poison_recovery();
+                shard.metrics.record_queue_poison_recovery();
                 continue;
             }
         };
         match step {
-            NextStep::Batch(batch) => serve_batch(shared, batch),
+            NextStep::Batch(batch) => serve_batch(shard, batch),
             NextStep::Shutdown => return,
             #[cfg(feature = "fault-inject")]
             NextStep::Kill => panic!("injected fault: shard worker killed"),
@@ -264,60 +232,48 @@ pub(crate) fn worker_loop(shared: &Shared<'_>) {
 
 /// Block until a batch can be formed (or shutdown empties the world).
 /// Every decision — idle, hold the under-full batch, dispatch how many,
-/// drain on shutdown — is [`policy::next_step`] on the queue seen under
-/// the mailbox lock; this loop only sleeps on the condvar as told.
-fn next_batch(shared: &Shared<'_>) -> NextStep {
-    let mut q = shared.mailbox.lock();
+/// drain on shutdown — and the batch itself come from the scheduler core
+/// under the mailbox lock, at one wall-clock reading per pass; this loop
+/// only sleeps on the condvar as told.
+fn next_batch(shard: &Shard<'_>) -> NextStep {
+    let mailbox = &shard.mailbox;
+    let mut core = mailbox.lock();
     #[cfg(feature = "fault-inject")]
-    crate::fault::maybe_poison_queue_lock(shared.shard);
+    crate::fault::maybe_poison_queue_lock(shard.id);
     loop {
-        let waited = q
-            .entries
-            .front()
-            .map_or(Duration::ZERO, |e| e.enqueued.elapsed());
-        q = match policy::next_step(&shared.cfg, q.entries.len(), waited, q.shutdown) {
+        let now_ns = mailbox.clock.now_ns();
+        core = match core.next_step(now_ns) {
             Step::Shutdown => return NextStep::Shutdown,
-            Step::Idle => shared
-                .mailbox
-                .wakeup
-                .wait(q)
-                .unwrap_or_else(|p| p.into_inner()),
+            Step::Idle => mailbox.wakeup.wait(core).unwrap_or_else(|p| p.into_inner()),
             Step::Wait(hold) => {
-                shared
-                    .mailbox
+                mailbox
                     .wakeup
-                    .wait_timeout(q, hold)
+                    .wait_timeout(core, hold)
                     .unwrap_or_else(|p| p.into_inner())
                     .0
             }
             Step::Dispatch(n) => {
                 #[cfg(feature = "fault-inject")]
                 {
-                    let ids: Vec<u64> = q.entries.iter().take(n).map(|e| e.id).collect();
-                    if crate::fault::should_kill_worker(shared.shard, &ids) {
+                    let ids: Vec<u64> = core.queued().take(n).map(|e| e.id).collect();
+                    if crate::fault::should_kill_worker(shard.id, &ids) {
                         return NextStep::Kill;
                     }
                 }
-                return NextStep::Batch(q.entries.drain(..n).collect());
+                return NextStep::Batch(core.form_batch(n, now_ns, &shard.metrics));
             }
         };
     }
 }
 
-fn serve_batch(shared: &Shared<'_>, batch: Vec<Entry>) {
-    let batch_size = batch.len();
-    shared.metrics.record_batch(batch_size as u64);
-
-    // Deadline triage: expired requests answer immediately with the
-    // fallback instead of holding a seat in the engine batch.
-    let mut live: Vec<Entry> = Vec::with_capacity(batch_size);
-    for e in batch {
-        if deadline_expired(e.enqueued.elapsed(), e.req.deadline) {
-            deliver_fallback(shared, e, FallbackReason::DeadlineExpired, batch_size);
-        } else {
-            live.push(e);
-        }
+fn serve_batch(shard: &Shard<'_>, batch: Batch<Arc<Slot>>) {
+    let batch_size = batch.expired.len() + batch.live.len();
+    // Requests that had outlived their deadline when the batch formed
+    // answer with the fallback instead of holding a seat in the engine.
+    for e in batch.expired {
+        deliver_fallback(shard, e, FallbackReason::DeadlineExpired, batch_size);
     }
+    let live = batch.live;
     if live.is_empty() {
         return;
     }
@@ -348,35 +304,35 @@ fn serve_batch(shared: &Shared<'_>, batch: Vec<Entry>) {
         for e in &live {
             crate::fault::maybe_panic_request(e.id);
         }
-        shared
+        shard
             .engine
-            .forecast_batch_entries(shared.contexts, &requests)
+            .forecast_batch_entries(shard.contexts, &requests)
     }));
 
     match attempt {
         Ok(results) => {
             for (e, res) in live.into_iter().zip(results) {
-                deliver_engine_result(shared, e, res, batch_size);
+                deliver_engine_result(shard, e, res, batch_size);
             }
         }
         Err(_) => {
             // A panic mid-batch: contain it, then retry one request at a
             // time so only the poisoned request degrades.
-            shared.metrics.record_worker_panic();
+            shard.metrics.record_worker_panic();
             for (e, req) in live.into_iter().zip(&requests) {
                 let single = catch_unwind(AssertUnwindSafe(|| {
                     #[cfg(feature = "fault-inject")]
                     crate::fault::maybe_panic_request(e.id);
-                    shared
+                    shard
                         .engine
-                        .forecast_batch_entries(shared.contexts, std::slice::from_ref(req))
+                        .forecast_batch_entries(shard.contexts, std::slice::from_ref(req))
                         .swap_remove(0)
                 }));
                 match single {
-                    Ok(res) => deliver_engine_result(shared, e, res, 1),
+                    Ok(res) => deliver_engine_result(shard, e, res, 1),
                     Err(_) => {
-                        shared.metrics.record_worker_panic();
-                        deliver_fallback(shared, e, FallbackReason::WorkerPanic, 1);
+                        shard.metrics.record_worker_panic();
+                        deliver_fallback(shard, e, FallbackReason::WorkerPanic, 1);
                     }
                 }
             }
@@ -385,8 +341,8 @@ fn serve_batch(shared: &Shared<'_>, batch: Vec<Entry>) {
 }
 
 fn deliver_engine_result(
-    shared: &Shared<'_>,
-    e: Entry,
+    shard: &Shard<'_>,
+    e: Queued,
     res: Result<EngineForecast, EngineError>,
     batch_size: usize,
 ) {
@@ -394,25 +350,10 @@ fn deliver_engine_result(
     // staged candidate before delivery, so the decision sequence is a pure
     // function of the admission order. Only sampled admissions pay the
     // candidate's inline forecast.
-    if let (Some(lc), Ok(forecast)) = (shared.lifecycle, &res) {
-        lc.observe(shared.engine, shared.contexts, e.id, &e.req, forecast);
+    if let (Some(lc), Ok(forecast)) = (shard.lifecycle, &res) {
+        lc.observe(shard.engine, shard.contexts, e.id, &e.req, forecast);
     }
-    let (kind, result) = match res {
-        Ok(forecast) => (
-            ResponseKind::Ok,
-            Ok(ServeResponse {
-                id: e.id,
-                forecast,
-                fallback: None,
-                batch_size,
-            }),
-        ),
-        Err(err) => (ResponseKind::Invalid, Err(ServeError::Invalid(err))),
-    };
-    shared
-        .metrics
-        .record_response(kind, e.enqueued.elapsed().as_nanos() as u64);
-    e.slot.deliver(result);
+    respond(shard, e, res, None, batch_size);
 }
 
 /// Answer with the model-free CurRank persistence forecast, flagged with
@@ -420,43 +361,56 @@ fn deliver_engine_result(
 /// typed validation error goes out instead — the caller is never left
 /// waiting.
 pub(crate) fn deliver_fallback(
-    shared: &Shared<'_>,
-    e: Entry,
+    shard: &Shard<'_>,
+    e: Queued,
     reason: FallbackReason,
     batch_size: usize,
 ) {
     let req = &e.req;
-    let built = if req.race >= shared.contexts.len() {
+    let built = if req.race >= shard.contexts.len() {
         Err(EngineError::RaceOutOfRange {
             race: req.race,
-            n_contexts: shared.contexts.len(),
+            n_contexts: shard.contexts.len(),
         })
     } else {
         currank_forecast(
-            shared.contexts[req.race],
+            shard.contexts[req.race],
             req.origin,
             req.horizon,
             req.n_samples,
         )
     };
-    let (kind, result) = match built {
+    respond(shard, e, built, Some(reason), batch_size);
+}
+
+/// Answer `e` with `res` — a model forecast, or the CurRank forecast
+/// flagged `fallback` — and record the response, with its latency from
+/// admission to this instant.
+fn respond(
+    shard: &Shard<'_>,
+    e: Queued,
+    res: Result<EngineForecast, EngineError>,
+    fallback: Option<FallbackReason>,
+    batch_size: usize,
+) {
+    let (kind, result) = match res {
         Ok(forecast) => (
-            match reason {
-                FallbackReason::DeadlineExpired => ResponseKind::FallbackDeadline,
-                FallbackReason::WorkerPanic => ResponseKind::FallbackPanic,
-                FallbackReason::ShardFailure => ResponseKind::FallbackShard,
+            match fallback {
+                None => ResponseKind::Ok,
+                Some(FallbackReason::DeadlineExpired) => ResponseKind::FallbackDeadline,
+                Some(FallbackReason::WorkerPanic) => ResponseKind::FallbackPanic,
+                Some(FallbackReason::ShardFailure) => ResponseKind::FallbackShard,
             },
             Ok(ServeResponse {
                 id: e.id,
                 forecast,
-                fallback: Some(reason),
+                fallback,
                 batch_size,
             }),
         ),
         Err(err) => (ResponseKind::Invalid, Err(ServeError::Invalid(err))),
     };
-    shared
-        .metrics
-        .record_response(kind, e.enqueued.elapsed().as_nanos() as u64);
-    e.slot.deliver(result);
+    let latency_ns = e.waited_ns(shard.mailbox.clock.now_ns());
+    shard.metrics.record_response(kind, latency_ns);
+    e.payload.deliver(result);
 }

@@ -1,28 +1,38 @@
 //! One race shard: an actor serving on one engine — the caller's for
 //! shard 0, a fork for every other shard — with that engine's model slot
-//! and encoder cache, behind a bounded [`Mailbox`](crate::mailbox::Mailbox).
+//! and encoder cache, behind a bounded [`Mailbox`].
 //!
 //! A shard *is* the scheduler scoped to a subset of the key space: its
-//! [`Shared`] state runs `worker_loop`, and its admission is the
-//! all-or-nothing mailbox. No two shards share an engine, a cache, a
-//! metrics registry or a queue, so a shard can die, be drained and be
-//! restarted without the others noticing. The supervisor watches the
-//! shard's [`Monitor`](crate::supervisor::Monitor) for worker deaths. The
-//! flat `serve()` region is a single shard.
+//! workers run `worker_loop` (`server.rs`) over its mailbox, and its
+//! supervisor watches them for deaths (`supervisor.rs`). No two shards share an engine, a cache, a metrics
+//! registry or a queue, so a shard can die, be drained and be restarted
+//! without the others noticing. The flat `serve()` region is a single
+//! shard.
 
 use crate::config::ServeConfig;
 use crate::lifecycle::LifecycleController;
-use crate::mailbox::Entry;
-use crate::server::{deliver_fallback, FallbackReason, Shared};
-use crate::supervisor::Monitor;
+use crate::mailbox::Mailbox;
+use crate::metrics::ServeMetrics;
+use crate::server::{deliver_fallback, FallbackReason};
 use ranknet_core::engine::ForecastEngine;
 use ranknet_core::features::RaceContext;
 
-/// One shard's state: the serving region plus its supervisor's monitor.
-/// The shard's index lives in `shared.shard`.
+/// One shard's state, shared by its workers, its supervisor and the
+/// router.
 pub(crate) struct Shard<'a> {
-    pub(crate) shared: Shared<'a>,
-    pub(crate) monitor: Monitor,
+    pub(crate) engine: &'a ForecastEngine,
+    pub(crate) contexts: &'a [&'a RaceContext],
+    pub(crate) cfg: ServeConfig,
+    pub(crate) mailbox: Mailbox,
+    pub(crate) metrics: ServeMetrics,
+    /// Shadow-evaluation / hot-swap controller, when serving under
+    /// [`crate::serve_with_lifecycle`] (attached to shard 0 only).
+    pub(crate) lifecycle: Option<&'a LifecycleController>,
+    /// Shard index. Used only for fault targeting — never for scheduling
+    /// decisions, which is what keeps placement invisible in the output
+    /// bits.
+    #[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
+    pub(crate) id: usize,
 }
 
 impl<'a> Shard<'a> {
@@ -39,18 +49,24 @@ impl<'a> Shard<'a> {
         lifecycle: Option<&'a LifecycleController>,
     ) -> Shard<'a> {
         Shard {
-            shared: Shared::new(engine, contexts, cfg, lifecycle, id),
-            monitor: Monitor::new(),
+            engine,
+            contexts,
+            cfg,
+            mailbox: Mailbox::new(cfg),
+            metrics: ServeMetrics::new(),
+            lifecycle,
+            id,
         }
     }
 
-    /// Containment drain after a worker death: answer every queued entry
-    /// with the CurRank fallback, flagged [`FallbackReason::ShardFailure`].
-    /// Accepted always implies answered, even across a shard crash.
+    /// Containment drain after a worker death: take every queued entry
+    /// at once and answer it with the CurRank fallback, flagged
+    /// [`FallbackReason::ShardFailure`]. Accepted always implies answered,
+    /// even across a shard crash.
     pub(crate) fn fallback_drain(&self) {
-        let backlog: Vec<Entry> = self.shared.mailbox.drain_all();
+        let backlog = self.mailbox.lock().drain_all();
         for e in backlog {
-            deliver_fallback(&self.shared, e, FallbackReason::ShardFailure, 1);
+            deliver_fallback(self, e, FallbackReason::ShardFailure, 1);
         }
     }
 }

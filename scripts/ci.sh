@@ -23,6 +23,12 @@ if grep -rn 'crossbeam::' crates/*/src; then
   exit 1
 fi
 
+echo "== one scheduler clock (no Instant or .elapsed() in the serve scheduler files; stamp through rpf_obs::WallClock, loadgen.rs exempt as the wall-clock load driver) =="
+if grep -nE 'Instant|\.elapsed\(\)' crates/serve/src/{scheduler,mailbox,server,replay}.rs; then
+  echo "scheduler clock check failed: pass now_ns into the scheduler core, read from the mailbox's rpf_obs::WallClock" >&2
+  exit 1
+fi
+
 echo "== tape GEMM parity (matmul/matmul_at/matmul_bt bitwise to the reference loops; LSTM gradient bits pinned) =="
 cargo test -q -p rpf-tensor --test proptests --offline
 cargo test -q -p rpf-nn --test gradient_bits --offline
