@@ -28,7 +28,6 @@ use crate::ranknet::{DecodeJob, RankNet};
 use rpf_nn::RngStreams;
 use rpf_obs::{span_name, Counter, Gauge, MetricsSnapshot, Registry, SpanName, Tracer};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -138,11 +137,6 @@ impl PhaseTimings {
 /// soak stays bounded. [`ForecastEngine::with_cache_capacity`] overrides it.
 const DEFAULT_ENCODER_CACHE_CAPACITY: usize = 1024;
 
-/// Maximum shard count of the encoder cache. The shard for a key is picked
-/// by hash, so concurrent forecasts of different `(race, origin)` pairs
-/// rarely contend on one lock.
-const CACHE_SHARDS: usize = 8;
-
 /// Most trajectory rows one lock-step decode advances. A serving
 /// micro-batch — a few distinct 100-sample questions over a 33-car field —
 /// decodes in one fold; a long `forecast_batch_entries` sweep decodes a few
@@ -175,110 +169,83 @@ fn fold_ranges(jobs: &[DecodeJob<'_>]) -> Vec<std::ops::Range<usize>> {
 /// never serve the new one. Old-version entries age out via LRU.
 type CacheKey = (u64, usize, usize);
 
-/// One shard of the bounded encoder cache: a map from
-/// `(version, race, origin)` to the cached state stamped with a per-shard
-/// logical tick. Eviction scans for the minimum stamp — O(shard len),
-/// which is at most `capacity / shards` and far cheaper than the encoder
-/// run it replaces.
-struct CacheShard {
-    map: HashMap<CacheKey, (u64, EncoderState)>,
-    tick: u64,
+/// The bounded encoder cache: a map from `(version, race, origin)` to the
+/// cached state stamped with a logical tick, behind one mutex. A serving
+/// shard makes one lookup per distinct request of a micro-batch, so the
+/// lock is uncontended at benchmark rates. Eviction scans for the minimum
+/// stamp — O(len), far cheaper than the encoder run it replaces — and
+/// only changes *whether* an encoder state is recomputed: `encode` is
+/// deterministic, so a recompute yields a bit-identical state and
+/// forecasts are unaffected.
+struct EncoderCache {
+    lru: Mutex<Lru>,
     capacity: usize,
 }
 
-impl CacheShard {
-    fn get(&mut self, key: &CacheKey) -> Option<EncoderState> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|slot| {
+struct Lru {
+    map: HashMap<CacheKey, (u64, EncoderState)>,
+    tick: u64,
+}
+
+impl EncoderCache {
+    fn new(capacity: usize) -> EncoderCache {
+        EncoderCache {
+            lru: Mutex::new(Lru {
+                map: HashMap::new(),
+                tick: 0,
+            }),
+            capacity,
+        }
+    }
+
+    /// The cache holds plain data (no invariant a panicking caller could
+    /// break mid-update), so a poisoned lock is recovered rather than
+    /// propagated — one crashed caller must not take the cache down.
+    fn lock(&self) -> MutexGuard<'_, Lru> {
+        self.lru.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn get(&self, key: &CacheKey) -> Option<EncoderState> {
+        let mut lru = self.lock();
+        lru.tick += 1;
+        let tick = lru.tick;
+        lru.map.get_mut(key).map(|slot| {
             slot.0 = tick;
             slot.1.clone()
         })
     }
 
-    /// Insert, evicting the least-recently-used entry if the shard is at
+    /// Insert, evicting the least-recently-used entry if the cache is at
     /// capacity. Returns how many entries were evicted (0 or 1).
-    fn insert(&mut self, key: CacheKey, state: EncoderState) -> u64 {
+    fn insert(&self, key: CacheKey, state: EncoderState) -> u64 {
         if self.capacity == 0 {
             return 0; // caching disabled: nothing stored, nothing evicted
         }
-        self.tick += 1;
+        let mut lru = self.lock();
+        lru.tick += 1;
         let mut evicted = 0;
-        if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
-            if let Some(&lru) = self
+        if !lru.map.contains_key(&key) && lru.map.len() >= self.capacity {
+            if let Some(&oldest) = lru
                 .map
                 .iter()
                 .min_by_key(|(_, (stamp, _))| *stamp)
                 .map(|(k, _)| k)
             {
-                self.map.remove(&lru);
+                lru.map.remove(&oldest);
                 evicted = 1;
             }
         }
-        self.map.insert(key, (self.tick, state));
+        let tick = lru.tick;
+        lru.map.insert(key, (tick, state));
         evicted
-    }
-}
-
-/// The sharded, LRU-bounded encoder cache. Total occupancy never exceeds
-/// the configured capacity: the capacity is split exactly across shards
-/// (shard `i` gets `cap/n + (i < cap % n)`), so the per-shard caps sum to
-/// the global one. Eviction only changes *whether* an encoder state is
-/// recomputed — `encode` is deterministic, so a recompute yields a
-/// bit-identical state and forecasts are unaffected.
-struct EncoderCache {
-    shards: Vec<Mutex<CacheShard>>,
-}
-
-impl EncoderCache {
-    fn new(capacity: usize) -> EncoderCache {
-        let n = CACHE_SHARDS.min(capacity.max(1));
-        let shards = (0..n)
-            .map(|i| {
-                Mutex::new(CacheShard {
-                    map: HashMap::new(),
-                    tick: 0,
-                    capacity: capacity / n + usize::from(i < capacity % n),
-                })
-            })
-            .collect();
-        EncoderCache { shards }
-    }
-
-    /// Shard holding `key`. Uses the std sip hasher — the shard choice
-    /// only affects which lock is taken and which neighbours compete for
-    /// eviction, never a forecast value.
-    fn shard(&self, key: &CacheKey) -> MutexGuard<'_, CacheShard> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        let idx = (h.finish() % self.shards.len() as u64) as usize;
-        // Shards hold plain data (no invariants a panicking writer could
-        // break mid-update), so a poisoned lock is recovered rather than
-        // propagated — one crashed caller must not take the cache down.
-        self.shards[idx].lock().unwrap_or_else(|p| p.into_inner())
     }
 
     fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).map.len())
-            .sum()
-    }
-
-    /// Total configured capacity across shards — the value handed to
-    /// [`EncoderCache::new`], reconstructed so an engine can be forked
-    /// with an identically sized cache.
-    fn capacity(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).capacity)
-            .sum()
+        self.lock().map.len()
     }
 
     fn clear(&self) {
-        for s in &self.shards {
-            s.lock().unwrap_or_else(|p| p.into_inner()).map.clear();
-        }
+        self.lock().map.clear();
     }
 }
 
@@ -439,7 +406,7 @@ impl ForecastEngine {
     pub fn fork_with(&self, model: VersionedModel) -> ForecastEngine {
         ForecastEngine::with_slot(ModelSlot::new(model), self.seed)
             .with_threads(self.threads)
-            .with_cache_capacity(self.cache.capacity())
+            .with_cache_capacity(self.cache.capacity)
     }
 
     /// The engine seed every call's RNG streams derive from. A shadow
@@ -449,8 +416,8 @@ impl ForecastEngine {
         self.seed
     }
 
-    /// Encoder states currently resident across all cache shards. Never
-    /// exceeds the configured capacity.
+    /// Encoder states currently resident in the cache. Never exceeds the
+    /// configured capacity.
     pub fn cache_len(&self) -> usize {
         self.cache.len()
     }
@@ -500,7 +467,7 @@ impl ForecastEngine {
         origin: usize,
     ) -> EncoderState {
         let key = (vm.version, race, origin);
-        let cached = self.cache.shard(&key).get(&key);
+        let cached = self.cache.get(&key);
         match cached {
             Some(enc) => {
                 self.encoder_reuses.inc();
@@ -511,7 +478,7 @@ impl ForecastEngine {
                 let t0 = Instant::now();
                 let enc = vm.model.rank_model.encode(ctx, origin);
                 self.add_ns(&self.encode_ns, t0);
-                let evicted = self.cache.shard(&key).insert(key, enc.clone());
+                let evicted = self.cache.insert(key, enc.clone());
                 self.cache_evictions.add(evicted);
                 enc
             }

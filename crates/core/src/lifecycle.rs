@@ -13,11 +13,10 @@
 //!   loaded. Version ids are monotone and never reused, even across
 //!   quarantines.
 //! * [`ModelSlot`] — the shared ownership cell a live engine reads its
-//!   model through. Readers are lock-free in the steady state (one atomic
-//!   generation load plus a thread-local cache hit); a swap installs a new
-//!   [`VersionedModel`] atomically. In-flight work that already loaded the
-//!   old `Arc` finishes on the old version; every load after the swap sees
-//!   the new one.
+//!   model through: one mutex around an `Arc`, loaded once per engine call.
+//!   A swap installs a new [`VersionedModel`] atomically. In-flight work
+//!   that already loaded the old `Arc` finishes on the old version; every
+//!   load after the swap sees the new one.
 //! * [`OnlineFineTuner`] — consumes newly observed races, fine-tunes a
 //!   working copy in bounded per-round slices via
 //!   [`rpf_nn::train::ResumableFineTuner`] (checkpoint-carrying, so N
@@ -26,10 +25,8 @@
 //! The serving-side state machine (shadow evaluation, promote / rollback
 //! gates) lives in `rpf-serve`; this module owns everything below it.
 
-use std::cell::RefCell;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
@@ -112,82 +109,32 @@ impl VersionedModel {
     }
 }
 
-/// Process-unique slot ids, so the thread-local reader cache can tell two
-/// slots apart without comparing pointers.
-static NEXT_SLOT_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// Per-thread `(slot id, generation, model)` cache backing the
-    /// lock-free read path of [`ModelSlot::load`]. Bounded — a thread that
-    /// touches many slots evicts its oldest entry.
-    static SLOT_CACHE: RefCell<Vec<(u64, u64, Arc<VersionedModel>)>> =
-        const { RefCell::new(Vec::new()) };
-}
-
-/// Most slots a single thread caches concurrently. Engines (and therefore
-/// slots) are few and long-lived; this only matters for tests that churn
-/// engines.
-const SLOT_CACHE_CAP: usize = 8;
-
-/// The atomically swappable model cell shared between a serving engine and
-/// the lifecycle controller.
+/// The swappable model cell shared between a serving engine and the
+/// lifecycle controller: one mutex around one `Arc<VersionedModel>`.
 ///
-/// **Read path (lock-free in the steady state):** [`ModelSlot::load`] does
-/// one `Acquire` load of the generation counter; if it matches the calling
-/// thread's cached generation for this slot, the cached
-/// `Arc<VersionedModel>` is cloned and returned without taking any lock.
-/// Only the first load after a swap takes the mutex (once per thread per
-/// swap) to refresh the cache.
+/// **Read path:** [`ModelSlot::load`] takes the lock, clones the `Arc` and
+/// releases it. An engine loads once per call (one micro-batch), so the
+/// lock is taken a few hundred times a second under benchmark load and is
+/// held for one reference-count increment.
 ///
-/// **Swap path:** [`ModelSlot::swap`] replaces the model under the mutex,
-/// then bumps the generation with `Release`. The order matters: readers
-/// that observe the new generation are guaranteed to refresh into the new
-/// model; readers that raced and cached the new model under the old
-/// generation merely pay one redundant refresh. Work that cloned the old
-/// `Arc` before the swap keeps it alive and finishes on the old version —
-/// a swap never invalidates an in-flight batch.
+/// **Swap path:** [`ModelSlot::swap`] replaces the `Arc` under the same
+/// lock. Work that cloned the old `Arc` before the swap keeps it alive and
+/// finishes on the old version — a swap never invalidates an in-flight
+/// batch — and every load after the swap returns the new model.
 pub struct ModelSlot {
-    id: u64,
-    gen: AtomicU64,
     current: Mutex<Arc<VersionedModel>>,
 }
 
 impl ModelSlot {
     pub fn new(model: VersionedModel) -> Arc<ModelSlot> {
         Arc::new(ModelSlot {
-            id: NEXT_SLOT_ID.fetch_add(1, Ordering::Relaxed),
-            gen: AtomicU64::new(1),
             current: Mutex::new(Arc::new(model)),
         })
     }
 
-    /// The current model. One atomic load on the hot path; see the type
-    /// docs for the full protocol.
+    /// The current model.
     pub fn load(&self) -> Arc<VersionedModel> {
-        let gen = self.gen.load(Ordering::Acquire);
-        let hit = SLOT_CACHE.with(|c| {
-            c.borrow()
-                .iter()
-                .find(|(id, g, _)| *id == self.id && *g == gen)
-                .map(|(_, _, m)| Arc::clone(m))
-        });
-        if let Some(m) = hit {
-            return m;
-        }
-        // Slow path (first load on this thread, or a swap happened):
-        // refresh from the mutex. Generation was read *before* taking the
-        // lock, so the cached model is at least as new as the cached
-        // generation — staleness is impossible, only a spare refresh.
-        let m = Arc::clone(&self.lock());
-        SLOT_CACHE.with(|c| {
-            let mut c = c.borrow_mut();
-            c.retain(|(id, _, _)| *id != self.id);
-            if c.len() >= SLOT_CACHE_CAP {
-                c.remove(0);
-            }
-            c.push((self.id, gen, Arc::clone(&m)));
-        });
-        m
+        Arc::clone(&self.lock())
     }
 
     /// Install a new model; returns the one it replaced. Atomic from every
@@ -200,19 +147,12 @@ impl ModelSlot {
         // poisoned mutex is recovered by every other accessor.
         #[cfg(feature = "fault-inject")]
         fault::maybe_panic_mid_swap();
-        let prev = std::mem::replace(&mut *cur, Arc::new(next));
-        self.gen.fetch_add(1, Ordering::Release);
-        prev
+        std::mem::replace(&mut *cur, Arc::new(next))
     }
 
     /// Version of the currently installed model.
     pub fn version(&self) -> u64 {
         self.load().version
-    }
-
-    /// Swap count since construction (starts at 1).
-    pub fn generation(&self) -> u64 {
-        self.gen.load(Ordering::Acquire)
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Arc<VersionedModel>> {
@@ -757,12 +697,10 @@ mod tests {
         let m1 = Arc::new(tiny_model());
         let slot = ModelSlot::new(VersionedModel::new(1, Arc::clone(&m1)));
         assert_eq!(slot.version(), 1);
-        let g0 = slot.generation();
         let held = slot.load();
         let prev = slot.swap(VersionedModel::new(2, Arc::clone(&m1)));
         assert_eq!(prev.version, 1);
         assert_eq!(slot.version(), 2);
-        assert_eq!(slot.generation(), g0 + 1);
         // The pre-swap load still points at the old version.
         assert_eq!(held.version, 1);
     }

@@ -63,6 +63,29 @@ fn cache_never_exceeds_capacity_and_counts_evictions() {
 }
 
 #[test]
+fn capacity_is_one_pool_shared_by_every_key() {
+    let (model, contexts) = tiny_model();
+    let cap = 8;
+    let engine = ForecastEngine::new(&model, 11)
+        .with_threads(1)
+        .with_cache_capacity(cap);
+
+    // Exactly `cap` distinct keys, each forecast twice: every key fits, so
+    // the second pass is all hits whatever the keys hash to.
+    for _ in 0..2 {
+        for i in 0..cap {
+            engine
+                .try_forecast_keyed(0, &contexts[0], 50 + i, 1, 2)
+                .expect("valid");
+        }
+    }
+    let t = engine.timings();
+    assert_eq!(t.encoder_reuses, cap as u64, "second pass must all hit");
+    assert_eq!(t.cache_evictions, 0, "{cap} keys fit a {cap}-entry cache");
+    assert_eq!(engine.cache_len(), cap);
+}
+
+#[test]
 fn eviction_and_recompute_replay_identical_bits() {
     let (model, contexts) = tiny_model();
     let engine = ForecastEngine::new(&model, 11)

@@ -27,11 +27,11 @@ use crate::metrics::GatewayMetrics;
 use crate::sse::LapBus;
 use rpf_obs::MetricsSnapshot;
 use rpf_serve::loadgen::Submitter;
-use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Gateway tuning. Defaults suit tests and small deployments; every field
@@ -129,72 +129,6 @@ impl GatewayHandle<'_> {
     }
 }
 
-/// Bounded handoff queue between the acceptor and the workers.
-struct ConnQueue {
-    state: Mutex<QueueState>,
-    available: Condvar,
-    cap: usize,
-}
-
-struct QueueState {
-    conns: VecDeque<TcpStream>,
-    closed: bool,
-}
-
-impl ConnQueue {
-    fn new(cap: usize) -> ConnQueue {
-        ConnQueue {
-            state: Mutex::new(QueueState {
-                conns: VecDeque::new(),
-                closed: false,
-            }),
-            available: Condvar::new(),
-            cap,
-        }
-    }
-
-    /// Queue state is plain data; recover a poisoned lock.
-    fn lock(&self) -> MutexGuard<'_, QueueState> {
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Hand a connection to the workers; gives it back on overflow or
-    /// after close.
-    fn push(&self, stream: TcpStream) -> Result<(), TcpStream> {
-        let mut state = self.lock();
-        if state.closed || state.conns.len() >= self.cap {
-            return Err(stream);
-        }
-        state.conns.push_back(stream);
-        drop(state);
-        self.available.notify_one();
-        Ok(())
-    }
-
-    /// Next connection, blocking; `None` once closed *and* drained, so
-    /// every accepted connection still gets served during shutdown.
-    fn pop(&self) -> Option<TcpStream> {
-        let mut state = self.lock();
-        loop {
-            if let Some(stream) = state.conns.pop_front() {
-                return Some(stream);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .available
-                .wait(state)
-                .unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    fn close(&self) {
-        self.lock().closed = true;
-        self.available.notify_all();
-    }
-}
-
 /// Run an HTTP gateway region over `backend` for the duration of `body`.
 ///
 /// Binds `127.0.0.1:0` (the handle reports the OS-assigned port), spawns
@@ -224,7 +158,11 @@ where
     let addr = listener.local_addr()?;
     let metrics = GatewayMetrics::new();
     let shutdown = AtomicBool::new(false);
-    let queue = ConnQueue::new(cfg.pending_conns);
+    // The bounded handoff queue. The acceptor owns the only sender, so its
+    // exit closes the queue; workers drain what was already handed off
+    // and then see the disconnect.
+    let (handoff, pending) = sync_channel::<TcpStream>(cfg.pending_conns);
+    let pending = Mutex::new(pending);
     let ctx = GatewayCtx {
         backend,
         bus,
@@ -236,11 +174,12 @@ where
     };
 
     let out = std::thread::scope(|s| {
-        s.spawn(|| acceptor_loop(&listener, &queue, &ctx));
+        let (listener, ctx, pending) = (&listener, &ctx, &pending);
+        s.spawn(move || acceptor_loop(listener, handoff, ctx));
         for _ in 0..cfg.conn_workers {
-            s.spawn(|| {
-                while let Some(stream) = queue.pop() {
-                    handle_connection(stream, &ctx);
+            s.spawn(move || {
+                while let Some(stream) = next_conn(pending) {
+                    handle_connection(stream, ctx);
                 }
             });
         }
@@ -254,7 +193,6 @@ where
         // still blocked in accept(), turning the panic into a deadlock.
         let guard = ShutdownGuard {
             shutdown: &shutdown,
-            queue: &queue,
             addr,
         };
         let out = body(&handle);
@@ -265,12 +203,12 @@ where
 }
 
 /// Runs the shutdown sequence on drop so it happens on both the normal
-/// and the unwinding exit path out of the body closure: raise the flag,
-/// unblock the acceptor's blocking accept() with a throwaway connection,
-/// and close the handoff queue so idle workers exit.
+/// and the unwinding exit path out of the body closure: raise the flag
+/// and unblock the acceptor's blocking accept() with a throwaway
+/// connection. The acceptor's exit drops the handoff sender, which lets
+/// idle workers exit.
 struct ShutdownGuard<'a> {
     shutdown: &'a AtomicBool,
-    queue: &'a ConnQueue,
     addr: SocketAddr,
 }
 
@@ -278,11 +216,24 @@ impl Drop for ShutdownGuard<'_> {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         let _ = TcpStream::connect(self.addr);
-        self.queue.close();
     }
 }
 
-fn acceptor_loop<S: Submitter>(listener: &TcpListener, queue: &ConnQueue, ctx: &GatewayCtx<'_, S>) {
+/// Next handed-off connection, blocking; `None` once the acceptor has
+/// exited *and* the queue is drained, so every accepted connection still
+/// gets served during shutdown. The receiver is plain data with no
+/// invariant a panicking worker could break, so a poisoned lock is
+/// recovered.
+fn next_conn(pending: &Mutex<Receiver<TcpStream>>) -> Option<TcpStream> {
+    let pending = pending.lock().unwrap_or_else(|p| p.into_inner());
+    pending.recv().ok()
+}
+
+fn acceptor_loop<S: Submitter>(
+    listener: &TcpListener,
+    handoff: SyncSender<TcpStream>,
+    ctx: &GatewayCtx<'_, S>,
+) {
     loop {
         let stream = match listener.accept() {
             Ok((stream, _peer)) => stream,
@@ -298,9 +249,11 @@ fn acceptor_loop<S: Submitter>(listener: &TcpListener, queue: &ConnQueue, ctx: &
             // nothing was promised, drop it.
             return;
         }
-        match queue.push(stream) {
+        match handoff.try_send(stream) {
             Ok(()) => ctx.metrics.conns_accepted.inc(),
-            Err(stream) => shed(stream, ctx),
+            Err(TrySendError::Full(stream) | TrySendError::Disconnected(stream)) => {
+                shed(stream, ctx)
+            }
         }
     }
 }

@@ -92,10 +92,6 @@ impl GatewayMetrics {
             .unwrap_or(0)
     }
 
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// Plain-data copy of every gateway metric.
     pub fn snapshot(&self) -> rpf_obs::MetricsSnapshot {
         self.registry.snapshot()

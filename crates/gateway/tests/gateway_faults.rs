@@ -8,6 +8,8 @@
 //!   streaming to it is detected, counted, and its worker freed;
 //! - queue-full burst: every rejected submission maps to a 429 carrying
 //!   the queue capacity and a Retry-After, with exact accounting;
+//! - handoff overflow: a connection arriving while every worker is busy
+//!   and the handoff queue is full is shed with a 503 by the acceptor;
 //! - shutdown drain: requests accepted before shutdown are answered even
 //!   when the backend is slow — accepted-implies-answered extends to the
 //!   wire;
@@ -199,6 +201,50 @@ fn queue_full_burst_maps_to_429_with_exact_accounting() {
             assert_eq!(gw.metrics().parse_errors.value(), 0);
         },
     )
+    .expect("gateway runs");
+}
+
+#[test]
+fn handoff_overflow_sheds_one_connection_with_503() {
+    let bus = LapBus::new();
+    let cfg = GatewayConfig {
+        conn_workers: 1,
+        pending_conns: 1,
+        // Long enough that the pinned keep-alive connection holds the
+        // only worker for the whole test.
+        read_timeout: Duration::from_secs(10),
+        ..fast_gateway_cfg()
+    };
+    serve_http(EchoBackend, 1, &bus, &cfg, None, |gw| {
+        // Pin the only worker: a served keep-alive connection left idle.
+        let mut pinned = HttpClient::connect(gw.addr(), Duration::from_secs(3)).expect("connect");
+        let resp = pinned.post_json("/forecast", &valid_body()).expect("post");
+        assert_eq!(resp.status, 200, "{}", resp.body_str());
+
+        // The next connection fills the one-slot handoff queue...
+        let queued = TcpStream::connect(gw.addr()).expect("connect");
+        wait_for(|| gw.metrics().conns_accepted.value(), 2, "conns_accepted");
+
+        // ...so the one after it is shed by the acceptor.
+        let mut shed = TcpStream::connect(gw.addr()).expect("connect");
+        shed.set_read_timeout(Some(Duration::from_secs(3)))
+            .expect("timeout");
+        let mut raw = Vec::new();
+        shed.read_to_end(&mut raw).expect("read 503 then EOF");
+        let text = String::from_utf8_lossy(&raw);
+        assert!(
+            text.starts_with("HTTP/1.1 503 "),
+            "expected 503 Service Unavailable, got: {text}"
+        );
+        assert!(text.contains("overloaded"), "{text}");
+        assert_eq!(gw.metrics().conns_rejected.value(), 1);
+        assert_eq!(gw.metrics().status_count(503), 1);
+        assert_eq!(gw.metrics().conns_accepted.value(), 2);
+
+        // Release the worker so the drain finishes promptly.
+        drop(pinned);
+        drop(queued);
+    })
     .expect("gateway runs");
 }
 

@@ -275,9 +275,6 @@ pub fn try_train_resumable(
             let mut epoch_sum = 0.0f64;
             let mut epoch_n = 0usize;
             let mut epoch_samples = 0u64;
-            // Batch tallies go through a mergeable local handle: one shared
-            // fetch-add per epoch instead of one per batch.
-            let mut local_batches = m_batches.local();
             for (bi, batch) in epoch_batches.iter().enumerate() {
                 store.zero_grads();
                 let loss = fault_hook_loss(batch_counter, batch_loss(store, batch));
@@ -323,7 +320,9 @@ pub fn try_train_resumable(
                     continue 'retry;
                 }
                 adam.step(store);
-                local_batches.inc();
+                // A batch run before a rollback stays counted:
+                // `train_batches` counts work done, not work kept.
+                m_batches.inc();
                 epoch_samples += batch.len() as u64;
                 epoch_sum += loss as f64;
                 epoch_n += 1;

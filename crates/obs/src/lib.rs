@@ -1,12 +1,13 @@
 //! `rpf-obs` — unified observability for the rank-position-forecasting
 //! stack: one registry, one snapshot type, three concerns.
 //!
-//! * [`registry`] — named counters / gauges / fixed-bucket histograms on
-//!   sharded atomics, with mergeable per-thread handles. Engine, serving
-//!   and training each own a [`Registry`]; snapshots
-//!   [`merge`](MetricsSnapshot::merge) into one view.
-//! * [`span`] — start/stop span tracing with interned names and
-//!   per-thread-shard ring buffers, on an injectable [`Clock`] so test
+//! * [`registry`] — named counters / gauges / fixed-bucket histograms,
+//!   each a plain relaxed atomic: every call site records per request,
+//!   per batch or per epoch, a rate one shared cell carries without
+//!   contention. Engine, serving and training each own a [`Registry`];
+//!   snapshots [`merge`](MetricsSnapshot::merge) into one view.
+//! * [`span`] — start/stop span tracing with interned names and one
+//!   mutex-guarded ring buffer, on an injectable [`Clock`] so test
 //!   output is deterministic (a virtual clock, as the serving scheduler's
 //!   replay feeds it virtual instants).
 //! * [`ops`] — operator-level kernel profiling (calls / FLOPs / bytes /
@@ -25,7 +26,7 @@ pub mod snapshot;
 pub mod span;
 
 pub use clock::{Clock, VirtualClock, WallClock};
-pub use registry::{Counter, Gauge, Histogram, LocalCounter, LocalHistogram, Registry};
+pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use snapshot::{
     write_json_str, CounterSample, GaugeSample, HistogramSample, MetricsSnapshot, OpSample,
     SpanSample,

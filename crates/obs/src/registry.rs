@@ -1,18 +1,19 @@
 //! The metrics registry: named counters, gauges and fixed-bucket
-//! histograms behind sharded atomics, with mergeable per-thread handles.
+//! histograms, each a plain relaxed atomic cell.
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Lock-cheap recording.** A counter increment is one relaxed
-//!    `fetch_add` on a cache-line-padded shard picked by thread, so worker
-//!    threads hammering the same counter do not bounce a cache line between
-//!    cores. No lock is ever taken on the hot path.
-//! 2. **Mergeable per-thread handles.** A [`LocalCounter`] /
-//!    [`LocalHistogram`] batches increments in plain (non-atomic) fields
-//!    and folds them into the shared shards on `flush` (or drop). The
-//!    merge invariant — concurrent recording through any interleaving of
-//!    local handles and direct calls totals exactly the same as sequential
-//!    recording — is pinned by the proptests in `tests/registry_props.rs`.
+//! 1. **One atomic per cell.** A counter increment is one relaxed
+//!    `fetch_add` on one `AtomicU64`. Every call site records once per
+//!    request, per batch or per epoch, which is at most a few thousand
+//!    events per second on any benchmark workload (DESIGN.md §12 has the
+//!    measured rates), so one shared cell does not contend. Per-kernel
+//!    recording, the one hot recorder, is [`crate::ops`], which is plain
+//!    atomics as well.
+//! 2. **Order- and thread-oblivious totals.** Any interleaving of the same
+//!    events across any number of threads totals exactly what a
+//!    sequential replay does, as pinned by the proptests in
+//!    `tests/registry_props.rs`.
 //! 3. **Deterministic snapshots.** Metrics render in registration order,
 //!    and histogram bucket boundaries are fixed at registration, so a
 //!    snapshot of a deterministic workload is golden-testable.
@@ -21,56 +22,23 @@
 //! never does.
 
 use crate::snapshot::{CounterSample, GaugeSample, HistogramSample, MetricsSnapshot};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Shards per counter. More shards cost memory (one cache line each);
-/// fewer cost contention. Eight covers the worker counts this workspace
-/// actually runs (serve defaults to 2–4 workers).
-const COUNTER_SHARDS: usize = 8;
-
-/// One cache line per shard so two threads' increments never false-share.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Each thread gets a stable slot at first use; `slot % SHARDS` picks
-    /// its shard. Round-robin assignment spreads concurrent recorders
-    /// evenly without any per-record coordination.
-    static THREAD_SLOT: usize = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed);
-}
-
-/// This thread's shard among `n` — shared with the span tracer so both
-/// layers spread threads the same way.
-#[inline]
-pub(crate) fn thread_shard(n: usize) -> usize {
-    THREAD_SLOT.with(|s| *s) % n.max(1)
-}
-
-#[inline]
-fn shard_index() -> usize {
-    thread_shard(COUNTER_SHARDS)
-}
-
-/// A monotone counter. Cloning shares the underlying cells.
-#[derive(Clone)]
+/// A monotone counter. Cloning shares the underlying cell.
+#[derive(Clone, Default)]
 pub struct Counter {
-    shards: Arc<[PaddedU64; COUNTER_SHARDS]>,
+    cell: Arc<AtomicU64>,
 }
 
 impl Counter {
     pub fn new() -> Counter {
-        Counter {
-            shards: Arc::new(Default::default()),
-        }
+        Counter::default()
     }
 
     #[inline]
     pub fn add(&self, v: u64) {
-        self.shards[shard_index()].0.fetch_add(v, Ordering::Relaxed);
+        self.cell.fetch_add(v, Ordering::Relaxed);
     }
 
     #[inline]
@@ -78,68 +46,13 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current total across all shards.
     pub fn value(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.cell.load(Ordering::Relaxed)
     }
 
-    /// Zero every shard (between profiled runs; not linearizable against
-    /// concurrent adds, like any multi-cell reset).
+    /// Zero the counter (between profiled runs).
     pub fn reset(&self) {
-        for s in self.shards.iter() {
-            s.0.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// A per-thread batching handle; increments accumulate in a plain
-    /// field and merge into the shared shards on [`LocalCounter::flush`]
-    /// or drop.
-    pub fn local(&self) -> LocalCounter {
-        LocalCounter {
-            counter: self.clone(),
-            pending: 0,
-        }
-    }
-}
-
-impl Default for Counter {
-    fn default() -> Self {
-        Counter::new()
-    }
-}
-
-/// Mergeable per-thread counter handle (see [`Counter::local`]).
-pub struct LocalCounter {
-    counter: Counter,
-    pending: u64,
-}
-
-impl LocalCounter {
-    #[inline]
-    pub fn add(&mut self, v: u64) {
-        self.pending += v;
-    }
-
-    #[inline]
-    pub fn inc(&mut self) {
-        self.pending += 1;
-    }
-
-    /// Fold the pending total into the shared counter.
-    pub fn flush(&mut self) {
-        if self.pending > 0 {
-            self.counter.add(self.pending);
-            self.pending = 0;
-        }
-    }
-}
-
-impl Drop for LocalCounter {
-    fn drop(&mut self) {
-        self.flush();
+        self.cell.store(0, Ordering::Relaxed);
     }
 }
 
@@ -180,8 +93,8 @@ struct HistogramCells {
     /// missed every earlier bucket, and a final bucket catches overflow.
     edges: Vec<u64>,
     buckets: Vec<AtomicU64>,
-    count: PaddedU64,
-    sum: PaddedU64,
+    count: AtomicU64,
+    sum: AtomicU64,
 }
 
 /// Which bucket a value lands in: the first edge that is `>= value`, or
@@ -208,8 +121,8 @@ impl Histogram {
             cells: Arc::new(HistogramCells {
                 edges: edges.to_vec(),
                 buckets: (0..edges.len() + 1).map(|_| AtomicU64::new(0)).collect(),
-                count: PaddedU64::default(),
-                sum: PaddedU64::default(),
+                count: AtomicU64::new(0),
+                sum: AtomicU64::new(0),
             }),
         }
     }
@@ -218,8 +131,8 @@ impl Histogram {
     pub fn observe(&self, value: u64) {
         let c = &self.cells;
         c.buckets[bucket_index(&c.edges, value)].fetch_add(1, Ordering::Relaxed);
-        c.count.0.fetch_add(1, Ordering::Relaxed);
-        c.sum.0.fetch_add(value, Ordering::Relaxed);
+        c.count.fetch_add(1, Ordering::Relaxed);
+        c.sum.fetch_add(value, Ordering::Relaxed);
     }
 
     pub fn edges(&self) -> &[u64] {
@@ -236,69 +149,19 @@ impl Histogram {
     }
 
     pub fn count(&self) -> u64 {
-        self.cells.count.0.load(Ordering::Relaxed)
+        self.cells.count.load(Ordering::Relaxed)
     }
 
     pub fn sum(&self) -> u64 {
-        self.cells.sum.0.load(Ordering::Relaxed)
+        self.cells.sum.load(Ordering::Relaxed)
     }
 
     pub fn reset(&self) {
         for b in &self.cells.buckets {
             b.store(0, Ordering::Relaxed);
         }
-        self.cells.count.0.store(0, Ordering::Relaxed);
-        self.cells.sum.0.store(0, Ordering::Relaxed);
-    }
-
-    /// A per-thread batching handle mirroring [`Counter::local`].
-    pub fn local(&self) -> LocalHistogram {
-        LocalHistogram {
-            histogram: self.clone(),
-            buckets: vec![0; self.cells.buckets.len()],
-            count: 0,
-            sum: 0,
-        }
-    }
-}
-
-/// Mergeable per-thread histogram handle (see [`Histogram::local`]).
-pub struct LocalHistogram {
-    histogram: Histogram,
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-}
-
-impl LocalHistogram {
-    #[inline]
-    pub fn observe(&mut self, value: u64) {
-        self.buckets[bucket_index(&self.histogram.cells.edges, value)] += 1;
-        self.count += 1;
-        self.sum += value;
-    }
-
-    pub fn flush(&mut self) {
-        if self.count == 0 {
-            return;
-        }
-        let c = &self.histogram.cells;
-        for (shared, local) in c.buckets.iter().zip(self.buckets.iter_mut()) {
-            if *local > 0 {
-                shared.fetch_add(*local, Ordering::Relaxed);
-                *local = 0;
-            }
-        }
-        c.count.0.fetch_add(self.count, Ordering::Relaxed);
-        c.sum.0.fetch_add(self.sum, Ordering::Relaxed);
-        self.count = 0;
-        self.sum = 0;
-    }
-}
-
-impl Drop for LocalHistogram {
-    fn drop(&mut self) {
-        self.flush();
+        self.cells.count.store(0, Ordering::Relaxed);
+        self.cells.sum.store(0, Ordering::Relaxed);
     }
 }
 
@@ -430,20 +293,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_totals_across_shards_and_locals() {
+    fn counter_totals_and_reset() {
         let c = Counter::new();
         c.add(5);
         c.inc();
-        let mut l = c.local();
-        l.add(10);
-        assert_eq!(c.value(), 6, "local not flushed yet");
-        l.flush();
-        assert_eq!(c.value(), 16);
-        {
-            let mut l2 = c.local();
-            l2.add(4);
-        } // drop flushes
-        assert_eq!(c.value(), 20);
+        c.clone().add(10);
+        assert_eq!(c.value(), 16, "clones share one cell");
         c.reset();
         assert_eq!(c.value(), 0);
     }
@@ -479,20 +334,6 @@ mod tests {
         assert_eq!(h.buckets(), vec![1, 1, 1, 1]);
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum(), 10 + 11 + 1000 + 1001);
-    }
-
-    #[test]
-    fn local_histogram_merges_exactly() {
-        let h = Histogram::new(&[10, 100]);
-        let mut l = h.local();
-        l.observe(5);
-        l.observe(50);
-        l.observe(500);
-        assert_eq!(h.count(), 0);
-        l.flush();
-        assert_eq!(h.buckets(), vec![1, 1, 1]);
-        h.observe(5);
-        assert_eq!(h.buckets(), vec![2, 1, 1]);
     }
 
     #[test]

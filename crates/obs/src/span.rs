@@ -1,8 +1,9 @@
 //! Structured span tracing: start/stop intervals with interned names,
-//! recorded into per-thread-shard ring buffers.
+//! recorded into one mutex-guarded ring buffer.
 //!
-//! A span is two clock reads and one shard-local push — cheap enough to
-//! wrap engine phases (encode / covariates / decode), but not kernels;
+//! A span is two clock reads and one push under the tracer's lock — cheap
+//! enough to wrap engine phases (encode / covariates / decode), a few per
+//! engine call, but not kernels;
 //! per-kernel attribution is the [`crate::ops`] layer's job. Names are
 //! interned once into a global `&'static str` table so the hot path moves
 //! a `u16`, never a string.
@@ -16,13 +17,9 @@ use crate::snapshot::SpanSample;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Ring capacity per shard. Old spans are overwritten; `recent()` is a
+/// Ring capacity. Old spans are overwritten; `recent()` is a
 /// flight-recorder view, `totals()` the loss-free aggregate.
 const RING_CAPACITY: usize = 256;
-
-/// Shards (each its own mutex + ring). Matches the registry's shard count
-/// so a thread contends with at most `threads / 8` peers.
-const SPAN_SHARDS: usize = 8;
 
 /// An interned span name: an index into the global name table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -64,7 +61,7 @@ impl SpanRecord {
 }
 
 #[derive(Default)]
-struct SpanShard {
+struct SpanLog {
     /// Fixed-capacity ring; `next` is the overwrite cursor.
     ring: Vec<SpanRecord>,
     next: usize,
@@ -72,7 +69,7 @@ struct SpanShard {
     totals: Vec<(u64, u64)>,
 }
 
-impl SpanShard {
+impl SpanLog {
     fn push(&mut self, rec: SpanRecord) {
         if self.ring.len() < RING_CAPACITY {
             self.ring.push(rec);
@@ -94,7 +91,7 @@ impl SpanShard {
 pub struct Tracer {
     clock: Arc<dyn Clock>,
     enabled: AtomicBool,
-    shards: Vec<Mutex<SpanShard>>,
+    log: Mutex<SpanLog>,
 }
 
 impl Tracer {
@@ -108,7 +105,7 @@ impl Tracer {
         Tracer {
             clock,
             enabled: AtomicBool::new(false),
-            shards: (0..SPAN_SHARDS).map(|_| Mutex::default()).collect(),
+            log: Mutex::default(),
         }
     }
 
@@ -139,28 +136,24 @@ impl Tracer {
         }
     }
 
-    fn shard(&self) -> &Mutex<SpanShard> {
-        // Reuse the registry's round-robin thread slot for shard choice.
-        &self.shards[crate::registry::thread_shard(SPAN_SHARDS)]
+    /// The log is plain data that every push leaves valid, so a poisoned
+    /// lock is recovered rather than propagated.
+    fn log(&self) -> std::sync::MutexGuard<'_, SpanLog> {
+        self.log.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     fn record(&self, name: SpanName, start_ns: u64, end_ns: u64) {
-        let mut shard = self.shard().lock().unwrap_or_else(|p| p.into_inner());
-        shard.push(SpanRecord {
+        self.log().push(SpanRecord {
             name,
             start_ns,
             end_ns,
         });
     }
 
-    /// Flight-recorder view: the retained spans from every shard, sorted
-    /// by start time. At most `SPAN_SHARDS * RING_CAPACITY` entries.
+    /// Flight-recorder view: the retained spans, sorted by start time. At
+    /// most `RING_CAPACITY` entries.
     pub fn recent(&self) -> Vec<SpanRecord> {
-        let mut all = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap_or_else(|p| p.into_inner());
-            all.extend(shard.ring.iter().copied());
-        }
+        let mut all = self.log().ring.clone();
         all.sort_by_key(|r| (r.start_ns, r.end_ns));
         all
     }
@@ -168,18 +161,8 @@ impl Tracer {
     /// Loss-free per-name aggregates (count, total ns), in interning
     /// order — the golden-testable summary.
     pub fn totals(&self) -> Vec<SpanSample> {
-        let mut merged: Vec<(u64, u64)> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap_or_else(|p| p.into_inner());
-            if merged.len() < shard.totals.len() {
-                merged.resize(shard.totals.len(), (0, 0));
-            }
-            for (i, &(c, ns)) in shard.totals.iter().enumerate() {
-                merged[i].0 += c;
-                merged[i].1 += ns;
-            }
-        }
-        merged
+        let totals = self.log().totals.clone();
+        totals
             .into_iter()
             .enumerate()
             .filter(|&(_, (c, _))| c > 0)
@@ -193,12 +176,7 @@ impl Tracer {
 
     /// Drop all retained spans and aggregates.
     pub fn reset(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap_or_else(|p| p.into_inner());
-            shard.ring.clear();
-            shard.next = 0;
-            shard.totals.clear();
-        }
+        *self.log() = SpanLog::default();
     }
 }
 
@@ -287,7 +265,6 @@ mod tests {
             let _g = t.span(name);
             clock.advance(10);
         }
-        // Single-threaded → one shard → ring holds at most RING_CAPACITY.
         assert!(t.recent().len() <= RING_CAPACITY);
         let totals = t.totals();
         let s = totals.iter().find(|s| s.name == "obs_test_flood");

@@ -1,9 +1,9 @@
 //! Property suite for the metrics registry's one load-bearing invariant:
 //! recording is *order- and thread-oblivious*. Any interleaving of the
-//! same multiset of events — raw handles or batching local handles,
-//! across any number of threads — must produce exactly the totals of a
-//! single-threaded sequential replay. This is what makes the sharded
-//! atomics + flush-on-drop design safe to thread through hot kernels.
+//! same multiset of events, recorded through cloned handles from any
+//! number of threads, must produce exactly the totals of a
+//! single-threaded sequential replay. This is what lets engine, serving
+//! and gateway threads share one relaxed atomic per metric.
 
 use proptest::prelude::*;
 use rpf_obs::{Registry, LATENCY_EDGES_NS};
@@ -28,7 +28,7 @@ fn apply_sequential(events: &[Event]) -> rpf_obs::MetricsSnapshot {
 }
 
 /// Split the events round-robin across `threads` workers, each recording
-/// through its own batching local handles, and flush by drop.
+/// through its own clones of the shared handles.
 fn apply_concurrent(events: &[Event], threads: usize) -> rpf_obs::MetricsSnapshot {
     let registry = Registry::new();
     let counter = registry.counter("requests");
@@ -50,14 +50,10 @@ fn apply_concurrent(events: &[Event], threads: usize) -> rpf_obs::MetricsSnapsho
             let hist = hist.clone();
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
-                let mut local_counter = counter.local();
-                let mut local_hist = hist.local();
                 for e in &shared[t] {
-                    local_counter.add(e.add);
-                    local_hist.observe(e.observe_ns);
+                    counter.add(e.add);
+                    hist.observe(e.observe_ns);
                 }
-                // Handles flush on drop here; no explicit flush call, so
-                // the property also covers the Drop path.
             })
         })
         .collect();
@@ -83,7 +79,7 @@ proptest! {
         let seq = apply_sequential(&events);
         let conc = apply_concurrent(&events, threads);
 
-        // Counters: same total regardless of sharding and interleaving.
+        // Counters: same total regardless of thread count and interleaving.
         prop_assert_eq!(seq.counters.len(), 1);
         prop_assert_eq!(conc.counters.len(), 1);
         prop_assert_eq!(seq.counters[0].value, conc.counters[0].value);
@@ -103,7 +99,7 @@ proptest! {
 
     /// Merging per-thread snapshots of disjoint registries is equivalent
     /// to recording everything into one registry: `merge` is the offline
-    /// counterpart of the sharded-atomics aggregation.
+    /// counterpart of recording into shared cells.
     #[test]
     fn snapshot_merge_equals_single_registry(
         raw in prop::collection::vec((0u64..10_000, 0u64..2_000_000_000), 1..100),

@@ -169,11 +169,6 @@ impl ServeMetrics {
         self.model_version.set(version);
     }
 
-    /// The backing registry, for scraping alongside other subsystems.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// Mergeable snapshot in the workspace-wide form — combine with the
     /// engine's and the training report's via
     /// [`rpf_obs::MetricsSnapshot::merge`].

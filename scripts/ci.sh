@@ -23,6 +23,12 @@ if grep -rn 'crossbeam::' crates/*/src; then
   exit 1
 fi
 
+echo "== one recorder cell (no striped counters, per-thread metric handles, sharded span/cache locks or thread-local slot cache in crates/*/src; vendor stubs are outside that glob) =="
+if grep -rnE 'LocalCounter|LocalHistogram|thread_shard|COUNTER_SHARDS|SPAN_SHARDS|CACHE_SHARDS|SLOT_CACHE|repr\(align' crates/*/src; then
+  echo "recorder cell check failed: record through one plain atomic per metric and guard shared state with one lock" >&2
+  exit 1
+fi
+
 echo "== one scheduler clock (no Instant or .elapsed() in the serve scheduler files; stamp through rpf_obs::WallClock, loadgen.rs exempt as the wall-clock load driver) =="
 if grep -nE 'Instant|\.elapsed\(\)' crates/serve/src/{scheduler,mailbox,server,replay}.rs; then
   echo "scheduler clock check failed: pass now_ns into the scheduler core, read from the mailbox's rpf_obs::WallClock" >&2
