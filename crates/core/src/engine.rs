@@ -285,7 +285,6 @@ pub struct ForecastEngine {
     rejected_requests: Counter,
     cache_evictions: Counter,
     coalesced_requests: Counter,
-    model_swaps: Counter,
     model_version_gauge: Gauge,
 }
 
@@ -313,8 +312,6 @@ impl ForecastEngine {
     /// engine's [`ForecastEngine::slot`]) and swaps versions through it.
     pub fn with_slot(slot: Arc<ModelSlot>, seed: u64) -> ForecastEngine {
         let registry = Registry::new();
-        let model_version_gauge = registry.gauge("engine_model_version");
-        model_version_gauge.set(slot.version());
         ForecastEngine {
             slot,
             seed,
@@ -334,8 +331,7 @@ impl ForecastEngine {
             rejected_requests: registry.counter("engine_rejected_requests"),
             cache_evictions: registry.counter("engine_cache_evictions"),
             coalesced_requests: registry.counter("engine_coalesced_requests"),
-            model_swaps: registry.counter("engine_model_swaps"),
-            model_version_gauge,
+            model_version_gauge: registry.gauge("engine_model_version"),
             registry,
         }
     }
@@ -354,19 +350,6 @@ impl ForecastEngine {
     /// Lifecycle version of the currently installed model.
     pub fn model_version(&self) -> u64 {
         self.slot.version()
-    }
-
-    /// Atomically install a new model version; returns the one it
-    /// replaced. In-flight forecasts that already loaded the slot finish
-    /// on the old version; every forecast admitted after this call runs on
-    /// the new one. No cache flush is needed — encoder states are keyed by
-    /// version, so old entries can never serve the new model.
-    pub fn swap_model(&self, next: VersionedModel) -> Arc<VersionedModel> {
-        let version = next.version;
-        let prev = self.slot.swap(next);
-        self.model_swaps.inc();
-        self.model_version_gauge.set(version);
-        prev
     }
 
     /// Override the decoder worker count (≥ 1). Changes scheduling only;
@@ -700,8 +683,11 @@ impl ForecastEngine {
 
     /// Mergeable snapshot of the engine's counters plus span totals —
     /// combine with serving and training snapshots via
-    /// [`MetricsSnapshot::merge`] for one exposition.
+    /// [`MetricsSnapshot::merge`] for one exposition. The
+    /// `engine_model_version` gauge is read from the slot here, so it
+    /// follows every swap and survives [`ForecastEngine::reset_timings`].
     pub fn obs_snapshot(&self) -> MetricsSnapshot {
+        self.model_version_gauge.set(self.slot.version());
         self.registry.snapshot().with_spans(self.tracer.totals())
     }
 

@@ -46,8 +46,8 @@ pub use engine::{
 };
 pub use features::{extract_sequences, CarSequence, RaceContext};
 pub use lifecycle::{
-    rank_divergence_milli, FineTuneConfig, LifecycleError, Manifest, ModelSlot, ModelStore,
-    OnlineFineTuner, VersionedModel,
+    rank_divergence_milli, LifecycleError, Manifest, ModelSlot, ModelStore, OnlineFineTuner,
+    VersionedModel,
 };
 pub use pit_model::{PitModel, PitState};
 pub use rank_model::RankModel;

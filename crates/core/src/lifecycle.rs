@@ -18,9 +18,14 @@
 //!   that already loaded the old `Arc` finishes on the old version; every
 //!   load after the swap sees the new one.
 //! * [`OnlineFineTuner`] — consumes newly observed races, fine-tunes a
-//!   working copy in bounded per-round slices via
-//!   [`rpf_nn::train::ResumableFineTuner`] (checkpoint-carrying, so N
-//!   rounds ≡ one long run), and publishes candidates to the store.
+//!   working copy in bounded per-round slices through
+//!   [`RankModel::train_resumable`](crate::rank_model::RankModel::train_resumable),
+//!   carrying the training checkpoint between rounds (so N rounds ≡ one
+//!   long run), and publishes candidates to the store.
+//!
+//! A model changes only through [`ModelSlot::swap`]; the serving side
+//! walks slots through one panic-guarded path
+//! (`rpf_serve::LifecycleController::rolling_swap`).
 //!
 //! The serving-side state machine (shadow evaluation, promote / rollback
 //! gates) lives in `rpf-serve`; this module owns everything below it.
@@ -35,8 +40,8 @@ use crate::features::RaceContext;
 use crate::instances::TrainingSet;
 use crate::persist::{atomic_write, Fnv1a};
 use crate::rank_model::ForecastSamples;
-use crate::ranknet::RankNet;
-use rpf_nn::train::{ResumableFineTuner, TrainReport};
+use crate::ranknet::{RankNet, FINE_TUNE_LR_SCALE};
+use rpf_nn::train::{TrainCheckpoint, TrainReport};
 
 /// Manifest schema version.
 const MANIFEST_VERSION: u32 = 1;
@@ -500,44 +505,30 @@ impl ModelStore {
 
 // ---- online fine-tuning ----------------------------------------------------
 
-/// Knobs of the incremental fine-tuning loop.
-#[derive(Clone, Debug)]
-pub struct FineTuneConfig {
-    /// Epochs trained per [`OnlineFineTuner::round`] call.
-    pub epochs_per_round: usize,
-    /// Learning-rate multiplier applied to the base model's configured LR
-    /// (fine-tuning nudges, it does not retrain; cf. `RankNet::fine_tune`).
-    pub lr_scale: f32,
-    /// Window stride when building training instances from ingested races.
-    pub stride: usize,
-    /// Window stride for the validation split.
-    pub val_stride: usize,
-}
+/// Epochs trained per [`OnlineFineTuner::round`].
+const EPOCHS_PER_ROUND: usize = 1;
 
-impl Default for FineTuneConfig {
-    fn default() -> FineTuneConfig {
-        FineTuneConfig {
-            epochs_per_round: 1,
-            lr_scale: 0.3,
-            stride: 1,
-            val_stride: 4,
-        }
-    }
-}
+/// Window stride when building training instances from ingested races.
+const TRAIN_STRIDE: usize = 1;
+
+/// Window stride for the validation split.
+const VAL_STRIDE: usize = 4;
 
 /// Incremental fine-tuning loop: ingest newly observed races, train the
 /// working copy one bounded round at a time, publish candidates.
 ///
-/// The round driver is [`rpf_nn::train::ResumableFineTuner`], so on a
-/// fixed ingested set, `k` rounds of one epoch land on weights
-/// bit-identical to one `k`-epoch run — serving can interleave rounds with
-/// traffic without changing what is learned. Ingesting new data resets the
-/// optimizer trajectory (the instance set changed; resuming a batch
-/// iterator into it would silently desync the shuffle sequence).
+/// The working copy trains at `FINE_TUNE_LR_SCALE` times the base
+/// model's learning rate (fine-tuning nudges, it does not retrain). Each
+/// round carries the full [`TrainCheckpoint`] — weights, Adam moments,
+/// batch-iterator position, early-stopping bookkeeping — into the next,
+/// so on a fixed ingested set `k` rounds land on weights bit-identical to
+/// one `k`-epoch run: serving can interleave rounds with traffic without
+/// changing what is learned. Ingesting new data drops the checkpoint (the
+/// instance set changed; resuming a batch iterator into it would silently
+/// desync the shuffle sequence).
 pub struct OnlineFineTuner {
     model: RankNet,
-    tuner: ResumableFineTuner,
-    cfg: FineTuneConfig,
+    checkpoint: Option<TrainCheckpoint>,
     parent: Option<u64>,
     data: Option<(TrainingSet, TrainingSet)>,
 }
@@ -545,38 +536,31 @@ pub struct OnlineFineTuner {
 impl OnlineFineTuner {
     /// Start from a base model (typically the serving version); `parent`
     /// is its store version for manifest provenance, `None` if unmanaged.
-    pub fn new(base: &RankNet, parent: Option<u64>, cfg: FineTuneConfig) -> OnlineFineTuner {
+    pub fn new(base: &RankNet, parent: Option<u64>) -> OnlineFineTuner {
         let mut model = base.clone();
-        model.rank_model.cfg.learning_rate *= cfg.lr_scale;
+        model.rank_model.cfg.learning_rate *= FINE_TUNE_LR_SCALE;
         OnlineFineTuner {
             model,
-            tuner: ResumableFineTuner::new(),
-            cfg,
+            checkpoint: None,
             parent,
             data: None,
         }
     }
 
-    /// Replace the working data with newly observed races. Resets the
+    /// Replace the working data with newly observed races. Drops the
     /// round checkpoint — see the type docs for why.
     pub fn ingest(&mut self, train: Vec<RaceContext>, val: Vec<RaceContext>) {
-        let ts = TrainingSet::build(train, &self.model.cfg, self.cfg.stride.max(1));
-        let vs = TrainingSet::build(val, &self.model.cfg, self.cfg.val_stride.max(1));
+        let ts = TrainingSet::build(train, &self.model.cfg, TRAIN_STRIDE);
+        let vs = TrainingSet::build(val, &self.model.cfg, VAL_STRIDE);
         self.data = Some((ts, vs));
-        self.tuner.reset();
+        self.checkpoint = None;
     }
 
-    /// Run one bounded fine-tuning round (`epochs_per_round` epochs) on the
-    /// ingested data, continuing the checkpointed trajectory.
+    /// Run one bounded fine-tuning round (`EPOCHS_PER_ROUND` epochs) on
+    /// the ingested data, resuming from the last round's checkpoint.
     pub fn round(&mut self) -> Result<TrainReport, LifecycleError> {
-        let OnlineFineTuner {
-            model,
-            tuner,
-            cfg,
-            data,
-            ..
-        } = self;
-        let (ts, vs) = data
+        let (ts, vs) = self
+            .data
             .as_ref()
             .ok_or_else(|| LifecycleError::Invalid("round() before ingest()".into()))?;
         if ts.instances.is_empty() {
@@ -584,32 +568,28 @@ impl OnlineFineTuner {
                 "ingested races yield no training windows".into(),
             ));
         }
-        tuner
-            .step_with(cfg.epochs_per_round, |cap, resume, on_epoch| {
-                let old = model.rank_model.cfg.max_epochs;
-                model.rank_model.cfg.max_epochs = cap;
-                let r = model
-                    .rank_model
-                    .train_resumable(ts, vs, resume, Some(on_epoch));
-                model.rank_model.cfg.max_epochs = old;
-                r
-            })
-            .map_err(|e| LifecycleError::Train(e.to_string()))
+        let rm = &mut self.model.rank_model;
+        let next_epoch = self.checkpoint.as_ref().map_or(0, |c| c.next_epoch);
+        let old_cap = rm.cfg.max_epochs;
+        rm.cfg.max_epochs = next_epoch + EPOCHS_PER_ROUND;
+        let mut last = None;
+        let report = rm.train_resumable(
+            ts,
+            vs,
+            self.checkpoint.as_ref(),
+            Some(&mut |c: &TrainCheckpoint| last = Some(c.clone())),
+        );
+        rm.cfg.max_epochs = old_cap;
+        let report = report.map_err(|e| LifecycleError::Train(e.to_string()))?;
+        if last.is_some() {
+            self.checkpoint = last;
+        }
+        Ok(report)
     }
 
     /// The current working copy (candidate weights).
     pub fn candidate(&self) -> &RankNet {
         &self.model
-    }
-
-    /// Rounds completed since the last [`OnlineFineTuner::ingest`].
-    pub fn rounds_run(&self) -> u64 {
-        self.tuner.rounds_run()
-    }
-
-    /// Epoch the next round resumes at.
-    pub fn next_epoch(&self) -> usize {
-        self.tuner.next_epoch()
     }
 
     /// Publish the candidate to the store; the new version becomes the

@@ -542,6 +542,11 @@ mod tests {
     }
 }
 
+/// Learning-rate multiplier for fine-tuning a trained model, shared by
+/// [`RankNet::fine_tune`] and the online tuner
+/// ([`crate::lifecycle::OnlineFineTuner`]).
+pub(crate) const FINE_TUNE_LR_SCALE: f32 = 0.3;
+
 impl RankNet {
     /// Transfer learning — the paper's §VI future-work direction: adapt a
     /// model trained on one event to another by fine-tuning on the new
@@ -566,7 +571,7 @@ impl RankNet {
             self.rank_model.cfg.learning_rate,
         );
         self.rank_model.cfg.max_epochs = epochs;
-        self.rank_model.cfg.learning_rate = old_lr * 0.3;
+        self.rank_model.cfg.learning_rate = old_lr * FINE_TUNE_LR_SCALE;
         let report = self.rank_model.train(&ts, &val);
         self.rank_model.cfg.max_epochs = old_epochs;
         self.rank_model.cfg.learning_rate = old_lr;

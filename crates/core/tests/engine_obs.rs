@@ -7,9 +7,11 @@
 
 use ranknet_core::engine::ForecastEngine;
 use ranknet_core::features::{extract_sequences, RaceContext};
+use ranknet_core::lifecycle::VersionedModel;
 use ranknet_core::ranknet::{RankNet, RankNetVariant};
 use ranknet_core::RankNetConfig;
 use rpf_racesim::{simulate_race, Event, EventConfig};
+use std::sync::Arc;
 
 fn race_ctx(seed: u64) -> RaceContext {
     extract_sequences(&simulate_race(
@@ -133,4 +135,41 @@ fn engine_snapshot_merges_with_other_layers() {
     let mut doubled = snap.clone();
     doubled.merge(&snap);
     assert_eq!(counter(&doubled, "engine_calls"), 2);
+}
+
+fn gauge(snap: &rpf_obs::MetricsSnapshot, name: &str) -> u64 {
+    snap.gauges
+        .iter()
+        .find(|g| g.name == name)
+        .unwrap_or_else(|| panic!("missing gauge {name}"))
+        .value
+}
+
+/// The `engine_model_version` gauge is read from the model slot, so it
+/// follows a swap made directly on the slot and survives a timing reset.
+#[test]
+fn model_version_gauge_follows_the_slot() {
+    let (model, _) = tiny_model();
+    let model = Arc::new(model);
+    let engine = ForecastEngine::new(Arc::clone(&model), 7).with_threads(1);
+    assert_eq!(gauge(&engine.obs_snapshot(), "engine_model_version"), 0);
+
+    engine
+        .slot()
+        .swap(VersionedModel::new(5, Arc::clone(&model)));
+    assert_eq!(engine.model_version(), 5);
+    assert_eq!(
+        gauge(&engine.obs_snapshot(), "engine_model_version"),
+        engine.model_version(),
+        "gauge must follow a slot swap"
+    );
+
+    engine.slot().swap(VersionedModel::new(6, model));
+    engine.reset_timings();
+    assert_eq!(engine.model_version(), 6);
+    assert_eq!(
+        gauge(&engine.obs_snapshot(), "engine_model_version"),
+        engine.model_version(),
+        "gauge must survive reset_timings"
+    );
 }

@@ -425,115 +425,6 @@ fn restore_weights(store: &mut ParamStore, snapshot: &[Matrix]) -> Result<(), St
     Ok(())
 }
 
-/// Incremental fine-tuning driver over [`try_train_resumable`]: runs a
-/// bounded number of epochs per call ("round"), carrying the full
-/// [`TrainCheckpoint`] — weights, Adam moments, batch-iterator position,
-/// early-stopping bookkeeping — between rounds. N rounds of `k` epochs on a
-/// fixed dataset produce the same training trajectory as one `N*k`-epoch
-/// run (checkpoint resume is bit-exact), so an online tuner can interleave
-/// short training slices with serving without changing what is learned.
-///
-/// When the dataset changes between rounds (new laps streamed in), call
-/// [`ResumableFineTuner::reset`]: the optimizer trajectory is restarted on
-/// the new instance set, which is the well-defined semantic — resuming a
-/// batch iterator into a different-sized dataset would silently desync the
-/// shuffle sequence.
-#[derive(Clone, Debug, Default)]
-pub struct ResumableFineTuner {
-    checkpoint: Option<TrainCheckpoint>,
-    rounds_run: u64,
-}
-
-impl ResumableFineTuner {
-    pub fn new() -> ResumableFineTuner {
-        ResumableFineTuner::default()
-    }
-
-    /// Continue a tuner from a persisted checkpoint (e.g. loaded through
-    /// `core::persist` after a crash).
-    pub fn from_checkpoint(ckpt: TrainCheckpoint) -> ResumableFineTuner {
-        ResumableFineTuner {
-            checkpoint: Some(ckpt),
-            rounds_run: 0,
-        }
-    }
-
-    /// The checkpoint the next round resumes from (None before any round).
-    pub fn checkpoint(&self) -> Option<&TrainCheckpoint> {
-        self.checkpoint.as_ref()
-    }
-
-    /// Epoch index the next round starts at.
-    pub fn next_epoch(&self) -> usize {
-        self.checkpoint.as_ref().map_or(0, |c| c.next_epoch)
-    }
-
-    /// Rounds completed since construction (or the last reset).
-    pub fn rounds_run(&self) -> u64 {
-        self.rounds_run
-    }
-
-    /// Drop the carried checkpoint — required when the training set the
-    /// rounds draw from has changed.
-    pub fn reset(&mut self) {
-        self.checkpoint = None;
-        self.rounds_run = 0;
-    }
-
-    /// Run one round through an arbitrary resumable training entry point.
-    /// The closure receives `(epoch_cap, resume, on_epoch_end)` and must
-    /// forward them to its [`try_train_resumable`] call; the driver
-    /// captures the final per-epoch checkpoint for the next round. Used by
-    /// `core`'s online tuner, whose training closures live behind
-    /// `RankModel::train_resumable`.
-    pub fn step_with(
-        &mut self,
-        extra_epochs: usize,
-        run: impl FnOnce(
-            usize,
-            Option<&TrainCheckpoint>,
-            &mut dyn FnMut(&TrainCheckpoint),
-        ) -> Result<TrainReport, TrainError>,
-    ) -> Result<TrainReport, TrainError> {
-        let cap = self.next_epoch() + extra_epochs.max(1);
-        let mut last = self.checkpoint.clone();
-        let report = run(cap, self.checkpoint.as_ref(), &mut |c| {
-            last = Some(c.clone());
-        })?;
-        self.checkpoint = last;
-        self.rounds_run += 1;
-        Ok(report)
-    }
-
-    /// One round of `extra_epochs` epochs directly on a [`ParamStore`] —
-    /// the nn-level driver for callers holding raw training closures.
-    pub fn step(
-        &mut self,
-        store: &mut ParamStore,
-        n_instances: usize,
-        cfg: &TrainConfig,
-        extra_epochs: usize,
-        batch_loss: impl FnMut(&mut ParamStore, &[usize]) -> f32,
-        val_loss: impl FnMut(&ParamStore) -> f32,
-    ) -> Result<TrainReport, TrainError> {
-        self.step_with(extra_epochs, |cap, resume, on_epoch| {
-            let cfg = TrainConfig {
-                max_epochs: cap,
-                ..cfg.clone()
-            };
-            try_train_resumable(
-                store,
-                n_instances,
-                &cfg,
-                batch_loss,
-                val_loss,
-                resume,
-                Some(on_epoch),
-            )
-        })
-    }
-}
-
 /// How many shards a batch of `rows` instances splits into on `threads`
 /// threads. Shards are floored at [`MIN_SHARD_ROWS`] rows: below that,
 /// per-thread tape and spawn overhead outweighs the parallelism (the same

@@ -59,7 +59,7 @@ impl ServeFaultPlan {
     /// `ranknet_core::lifecycle::fault::arm_panic_next_swap` for the
     /// "panic mid-swap under traffic" matrix entries. Fires once. The hook
     /// runs *outside* the scheduler's panic containment: it must catch its
-    /// own panics (`LifecycleController::swap_now_slot` does).
+    /// own panics (`LifecycleController::rolling_swap` does).
     pub fn swap_on_request(
         mut self,
         id: u64,

@@ -20,10 +20,13 @@
 //!   old version keeps serving untouched and the candidate is quarantined
 //!   in the [`ModelStore`] (when one is attached).
 //!
-//! Every swap attempt is panic-guarded: a panic mid-swap (see the
-//! fault-inject matrix) is caught, counted as a rollback, and leaves the
-//! old version serving — a lifecycle operation can never take the region
-//! down.
+//! Every model change goes through one slot walk,
+//! [`LifecycleController::rolling_swap`]: operator swaps over one engine's
+//! slot or a sharded region's slots, and the gate's promotion over the
+//! live engine's slot. Each slot swap is panic-guarded: a panic mid-swap
+//! (see the fault-inject matrix) is caught, the slots already swapped are
+//! unwound, the rollback is counted, and the old version keeps serving —
+//! a lifecycle operation can never take the region down.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -150,51 +153,37 @@ impl LifecycleController {
         self.lock_decisions().clone()
     }
 
-    /// Immediate panic-guarded hot-swap through the live engine (counts
-    /// into the engine's `engine_model_swaps` and version gauge). On an
-    /// injected or real panic mid-swap the old version keeps serving, the
-    /// on-disk candidate is quarantined, and a rollback is recorded.
-    pub fn swap_now(
-        &self,
-        live: &ForecastEngine,
-        version: u64,
-        model: Arc<RankNet>,
-    ) -> CandidateDecision {
-        self.guarded_swap(version, model, 0, 0, |next| {
-            live.swap_model(next);
-        })
-    }
-
-    /// [`LifecycleController::swap_now`] addressed at a bare slot — for
-    /// `'static` contexts (fault hooks, detached fine-tuning threads) that
-    /// hold a cloned `Arc<ModelSlot>` rather than an engine borrow.
-    pub fn swap_now_slot(
-        &self,
-        slot: &ModelSlot,
-        version: u64,
-        model: Arc<RankNet>,
-    ) -> CandidateDecision {
-        self.guarded_swap(version, model, 0, 0, |next| {
-            slot.swap(next);
-        })
-    }
-
-    /// Rolling hot-swap across a sharded region: walk every shard's
-    /// [`ModelSlot`] in shard order, swapping `model` in as `version`.
-    /// All-or-nothing at the fleet level — a panic at shard `k` (real, or
-    /// injected via `panic_on_rolling_shard`) swaps shards `0..k` *back*
-    /// to their previous versions in reverse order, quarantines the
-    /// candidate, and records one rollback; only a fully successful walk
-    /// advances `CURRENT` and counts one swap. In-flight batches on each
-    /// shard finish on whichever version their engine loaded — the slot
-    /// swap is atomic per shard, so no request ever sees a torn model.
-    /// Slot 0 of [`crate::ServeClient::slots`] is the caller's engine's,
-    /// so a successful roll moves that engine to `version` too.
+    /// The one swap path: walk `slots` in order, swapping `model` in as
+    /// `version` under a per-slot `catch_unwind`. All-or-nothing — a panic
+    /// at slot `k` (real, the injected panic mid-swap, or
+    /// `panic_on_rolling_shard`) swaps slots `0..k` *back* to their
+    /// previous versions in reverse order, quarantines the candidate, and
+    /// records one rollback; only a fully successful walk advances
+    /// `CURRENT` and counts one swap. In-flight batches finish on whichever
+    /// version their engine loaded — each slot swap is atomic, so no
+    /// request ever sees a torn model.
+    ///
+    /// A single engine is `std::slice::from_ref(engine.slot())`; a sharded
+    /// region is [`crate::ServeClient::slots`], whose slot 0 is the
+    /// caller's engine's, so a successful roll moves that engine too.
     pub fn rolling_swap(
         &self,
         slots: &[Arc<ModelSlot>],
         version: u64,
         model: Arc<RankNet>,
+    ) -> CandidateDecision {
+        self.swap_slots(slots, version, model, 0, 0)
+    }
+
+    /// [`LifecycleController::rolling_swap`] with the shadow evidence the
+    /// recorded decision reports.
+    fn swap_slots(
+        &self,
+        slots: &[Arc<ModelSlot>],
+        version: u64,
+        model: Arc<RankNet>,
+        samples: u64,
+        mean_divergence_milli: u64,
     ) -> CandidateDecision {
         let mut prev: Vec<Arc<VersionedModel>> = Vec::with_capacity(slots.len());
         let mut failed = false;
@@ -214,8 +203,8 @@ impl LifecycleController {
             }
         }
         let decision = if failed {
-            // Unwind the shards already swapped, newest first, so the
-            // fleet converges back to a single serving version.
+            // Unwind the slots already swapped, newest first, so the fleet
+            // converges back to a single serving version.
             for (slot, old) in slots.iter().zip(&prev).rev() {
                 slot.swap(VersionedModel::new(old.version, Arc::clone(&old.model)));
             }
@@ -223,59 +212,20 @@ impl LifecycleController {
             self.lock_tallies().rollbacks += 1;
             CandidateDecision::RolledBack {
                 version,
-                samples: 0,
-                mean_divergence_milli: 0,
+                samples,
+                mean_divergence_milli,
             }
         } else {
             if let Some(store) = &self.store {
-                // Best-effort, as in `guarded_swap`: an unwritable CURRENT
-                // must not undo in-memory swaps that already happened.
+                // Best-effort: an unwritable CURRENT must not undo
+                // in-memory swaps that already happened.
                 let _ = store.set_current(version);
             }
             self.lock_tallies().swaps += 1;
             CandidateDecision::Promoted {
                 version,
-                samples: 0,
-                mean_divergence_milli: 0,
-            }
-        };
-        self.lock_decisions().push(decision.clone());
-        decision
-    }
-
-    fn guarded_swap(
-        &self,
-        version: u64,
-        model: Arc<RankNet>,
-        samples: u64,
-        mean_divergence_milli: u64,
-        swap: impl FnOnce(VersionedModel),
-    ) -> CandidateDecision {
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            swap(VersionedModel::new(version, model));
-        }));
-        let decision = match attempt {
-            Ok(()) => {
-                if let Some(store) = &self.store {
-                    // Best-effort: an unwritable CURRENT must not undo an
-                    // in-memory swap that already happened.
-                    let _ = store.set_current(version);
-                }
-                self.lock_tallies().swaps += 1;
-                CandidateDecision::Promoted {
-                    version,
-                    samples,
-                    mean_divergence_milli,
-                }
-            }
-            Err(_) => {
-                self.quarantine_candidate(version, "swap-panic");
-                self.lock_tallies().rollbacks += 1;
-                CandidateDecision::RolledBack {
-                    version,
-                    samples,
-                    mean_divergence_milli,
-                }
+                samples,
+                mean_divergence_milli,
             }
         };
         self.lock_decisions().push(decision.clone());
@@ -338,15 +288,12 @@ impl LifecycleController {
 
         let mean = cand.divergence_sum / cand.samples;
         let decision = if mean <= self.cfg.max_divergence_milli {
-            let vm = cand.shadow.current_model();
-            self.guarded_swap(
+            self.swap_slots(
+                std::slice::from_ref(live_engine.slot()),
                 cand.version,
-                Arc::clone(&vm.model),
+                Arc::clone(&cand.shadow.current_model().model),
                 cand.samples,
                 mean,
-                |next| {
-                    live_engine.swap_model(next);
-                },
             )
         } else {
             self.quarantine_candidate(cand.version, "diverged");

@@ -293,7 +293,7 @@ fn serve_batch(shard: &Shard<'_>, batch: Batch<Arc<Slot>>) {
     // "swap during shutdown-drain" in the fault matrix). The hook runs
     // outside the catch_unwind below, so a hook that lets a swap panic
     // escape would kill the worker — planned hooks guard their own swaps
-    // (see `LifecycleController::swap_now_slot`).
+    // (see `LifecycleController::rolling_swap`).
     #[cfg(feature = "fault-inject")]
     for e in &live {
         crate::fault::maybe_fire_swap(e.id);

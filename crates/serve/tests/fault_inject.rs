@@ -205,7 +205,11 @@ fn panic_mid_swap_under_traffic_keeps_old_version_serving() {
     let version = candidate.version;
     core_fault::arm_panic_next_swap();
     fault::install(ServeFaultPlan::new().swap_on_request(2, move || {
-        hook_lc.swap_now_slot(&hook_slot, version, Arc::new(alt_model().clone()));
+        hook_lc.rolling_swap(
+            std::slice::from_ref(&hook_slot),
+            version,
+            Arc::new(alt_model().clone()),
+        );
     }));
 
     let cfg = ServeConfig {
@@ -283,7 +287,11 @@ fn panic_mid_swap_during_shutdown_drain_answers_everything_on_old_version() {
     let version = candidate.version;
     core_fault::arm_panic_next_swap();
     fault::install(ServeFaultPlan::new().swap_on_request(3, move || {
-        hook_lc.swap_now_slot(&hook_slot, version, Arc::new(alt_model().clone()));
+        hook_lc.rolling_swap(
+            std::slice::from_ref(&hook_slot),
+            version,
+            Arc::new(alt_model().clone()),
+        );
     }));
 
     let cfg = ServeConfig {

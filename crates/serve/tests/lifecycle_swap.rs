@@ -67,12 +67,14 @@ fn hot_swap_under_load_drops_nothing_and_keeps_bit_parity() {
         )
     };
 
+    let lc = LifecycleController::new(LifecycleConfig::default());
     let ((before, after), metrics) = serve(&engine, &refs, &serve_cfg(), |client| {
         let before = loadgen::run_open_loop(client, &wave(0));
-        engine.swap_model(ranknet_core::lifecycle::VersionedModel::new(
+        lc.rolling_swap(
+            std::slice::from_ref(engine.slot()),
             1,
             Arc::new(alt_model().clone()),
-        ));
+        );
         let after = loadgen::run_open_loop(client, &wave(1_000));
         (before, after)
     });
@@ -247,7 +249,11 @@ fn sequential_requests_flip_versions_exactly_at_the_swap() {
         assert_eq!(old.forecast.model_version, 0);
         assert_eq!(bits(&old.forecast), direct_on(model, &req));
 
-        let decision = lc.swap_now(&engine, 7, Arc::new(alt_model().clone()));
+        let decision = lc.rolling_swap(
+            std::slice::from_ref(engine.slot()),
+            7,
+            Arc::new(alt_model().clone()),
+        );
         assert!(matches!(
             decision,
             CandidateDecision::Promoted { version: 7, .. }

@@ -10,15 +10,14 @@
 //! cargo run --release --example model_lifecycle
 //! ```
 //!
-//! Nothing here blocks serving: swaps are a pointer replace behind a
-//! lock-free read, in-flight batches finish on the version they loaded,
-//! and a failed candidate leaves the old version serving untouched.
+//! Nothing here blocks serving: a swap is a pointer replace under the
+//! model slot's one short lock, in-flight batches finish on the version
+//! they loaded, and a failed candidate leaves the old version serving
+//! untouched.
 
 use ranknet::core::engine::ForecastEngine;
 use ranknet::core::features::extract_sequences;
-use ranknet::core::lifecycle::{
-    FineTuneConfig, ModelSlot, ModelStore, OnlineFineTuner, VersionedModel,
-};
+use ranknet::core::lifecycle::{ModelSlot, ModelStore, OnlineFineTuner, VersionedModel};
 use ranknet::core::ranknet::{RankNet, RankNetVariant};
 use ranknet::core::RankNetConfig;
 use ranknet::racesim::{simulate_race, Event, EventConfig};
@@ -56,8 +55,10 @@ fn main() {
     );
 
     // ---- 2. Fine-tune online on newly arrived laps ---------------------
+    // One epoch per round at 0.3x the base learning rate; the rounds
+    // resume one training trajectory, so two rounds equal one 2-epoch run.
     println!("\nFine-tuning on fresh laps ...");
-    let mut tuner = OnlineFineTuner::new(&base, Some(v1.version), FineTuneConfig::default());
+    let mut tuner = OnlineFineTuner::new(&base, Some(v1.version));
     tuner.ingest(vec![ctx(3)], vec![ctx(4)]);
     for round in 0..2 {
         let report = tuner.round().expect("fine-tune round");

@@ -35,6 +35,12 @@ if grep -nE 'Instant|\.elapsed\(\)' crates/serve/src/{scheduler,mailbox,server,r
   exit 1
 fi
 
+echo "== one swap path (models change only through LifecycleController::rolling_swap's slot walk; OnlineFineTuner is the one fine-tune driver) =="
+if grep -rnE 'fn swap_model|fn swap_now|guarded_swap|ResumableFineTuner|FineTuneConfig' crates/*/src; then
+  echo "swap path check failed: swap through LifecycleController::rolling_swap and fine-tune through OnlineFineTuner" >&2
+  exit 1
+fi
+
 echo "== tape GEMM parity (matmul/matmul_at/matmul_bt bitwise to the reference loops; LSTM gradient bits pinned) =="
 cargo test -q -p rpf-tensor --test proptests --offline
 cargo test -q -p rpf-nn --test gradient_bits --offline
@@ -51,8 +57,8 @@ cargo test -q -p ranknet-core --test engine_determinism --offline
 echo "== engine cache bounds (LRU cap + eviction bit-determinism) =="
 cargo test -q -p ranknet-core --test engine_cache --offline
 
-echo "== lifecycle store (versioned artifacts, torn/corrupt quarantine) =="
-cargo test -q -p ranknet-core --test lifecycle_store --offline
+echo "== lifecycle store (versioned artifacts, torn/corrupt quarantine, resumable fine-tune rounds) =="
+cargo test -q -p ranknet-core --test lifecycle_store --test checkpoint_resume --offline
 
 echo "== pit runtime rebuild (predict after import or clone serves the current weights) =="
 cargo test -q -p ranknet-core --test pit_runtime_rebuild --offline
